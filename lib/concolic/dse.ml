@@ -188,7 +188,7 @@ let read_cstring t s addr =
     else
       let a = Int64.add addr (Int64.of_int i) in
       let byte =
-        match Hashtbl.find_opt s.st.State.shadow a with
+        match State.Shadow.find_opt a s.st.State.shadow with
         | Some (E.Const (v, _)) -> Int64.to_int v land 0xff
         | Some _ -> 0 (* symbolic filename byte: stop *)
         | None -> Vm.Mem.read_u8 t.base_mem a
@@ -461,15 +461,14 @@ let input_of_model ~width (model : Smt.Solver.model) =
   | None -> str
 
 let feasible t (s : sstate) =
-  let cs = State.path_condition s.st in
-  if List.exists E.contains_fp cs then true (* cannot check: assume *)
+  if s.st.State.path_fp then true (* cannot check: assume *)
   else if s.st.State.built_cost > t.config.max_constraint_nodes then true
   else
     match
       solve t
         ~config:
           { t.config.solver with conflict_budget = t.config.feasibility_budget }
-        cs
+        (State.path_condition s.st)
     with
     | Smt.Solver.Unsat -> false
     | _ -> true
@@ -544,7 +543,7 @@ let explore ?goal_symbol:(goal = "bomb") (config : config)
          if Int64.equal s.pc t.goal then begin
            incr reached;
            let cs = State.path_condition s.st in
-           if List.exists E.contains_fp cs then begin
+           if s.st.State.path_fp then begin
              t.fp_seen <- true;
              t.all_diags <- Error.Fp_constraint :: t.all_diags
            end;

@@ -5,18 +5,17 @@
     symbolic structure). *)
 
 module E = Smt.Expr
-
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+module Shadow = Map.Make (Int64)
 
 type t = {
   env : (string, E.t) Hashtbl.t;        (** registers, flags, temps *)
-  shadow : (int64, E.t) Hashtbl.t;      (** memory bytes with symbolic values *)
+  mutable shadow : E.t Shadow.t;
+      (** memory bytes with symbolic values; persistent, so a fork
+          shares its parent's instead of copying it *)
   mutable constraints : (E.t * info) list;  (** newest first *)
+  mutable path_fp : bool;
+      (** some recorded constraint contains an FP term — set as each
+          constraint is added, so no check re-walks the path *)
   mutable diags : Error.diag list;
   mutable load_depth : int;
       (** most deeply nested symbolic-load chain built so far *)
@@ -24,8 +23,12 @@ type t = {
       (** running bit-blast cost of every symbolic node built in this
           state — a monotone overapproximation of any path-prefix
           cost, maintained incrementally so guards are O(1) *)
-  load_depths : int Phys.t;
+  load_depths : int E.Phys.t;
       (** symbolic-load nesting depth of load-result expressions *)
+  fp_free : unit E.Phys.t;
+      (** nodes of recorded constraints known to hold no FP term;
+          shared by clones, so a fork's condition is walked only
+          where it is new *)
   mutable session : Smt.Session.t option;
       (** solver session constraints are interned into as they are
           recorded; clones share it, so a forked state's path-predicate
@@ -46,23 +49,27 @@ and kind = Branch | Fault_guard | Address_bound | Assumption of string
 
 let create ?meter ?session () =
   { env = Hashtbl.create 64;
-    shadow = Hashtbl.create 256;
+    shadow = Shadow.empty;
     constraints = [];
+    path_fp = false;
     diags = [];
     load_depth = 0;
     built_cost = 0;
-    load_depths = Phys.create 64;
+    load_depths = E.Phys.create 64;
+    fp_free = E.Phys.create 64;
     session;
     meter = Robust.Meter.default meter }
 
 let clone t =
   { env = Hashtbl.copy t.env;
-    shadow = Hashtbl.copy t.shadow;
+    shadow = t.shadow;
     constraints = t.constraints;
+    path_fp = t.path_fp;
     diags = t.diags;
     load_depth = t.load_depth;
     built_cost = t.built_cost;
-    load_depths = Phys.copy t.load_depths;
+    load_depths = E.Phys.copy t.load_depths;
+    fp_free = t.fp_free;
     session = t.session;
     meter = t.meter }
 
@@ -87,6 +94,7 @@ let add_constraint t ?(kind = Branch) ~pc ~taken e =
       | Some s when t.built_cost <= intern_cost_cap -> Smt.Session.intern s e
       | _ -> e
     in
+    if not t.path_fp then t.path_fp <- E.contains_fp ~fp_free:t.fp_free e;
     t.constraints <-
       (e, { pc; taken; kind; cost = t.built_cost }) :: t.constraints
 
@@ -173,24 +181,11 @@ let mk_fsqrt a = fold1 (fun a -> E.Fsqrt a) a
 let mk_fof_int a = fold1 (fun a -> E.Fof_int a) a
 let mk_fto_int a = fold1 (fun a -> E.Fto_int a) a
 
-(* node weight, mirroring {!Smt.Expr.blast_cost} *)
-let node_weight (e : E.t) =
-  match e with
-  | E.Binop ((Mul | Udiv | Urem | Sdiv | Srem), a, _) ->
-    let w = E.width_of a in
-    3 * w * w
-  | E.Binop ((Shl | Lshr | Ashr), a, _) -> 24 * E.width_of a
-  | E.Binop (_, a, _) -> 5 * E.width_of a
-  | E.Cmp (_, a, _) -> 3 * E.width_of a
-  | E.Ite (_, a, _) -> 4 * E.width_of a
-  | E.Unop (Neg, a) -> 5 * E.width_of a
-  | _ -> 1
-
 (* charge a state for a freshly built (non-constant) node *)
 let charge t (e : E.t) =
   (match e with
    | E.Const _ -> ()
-   | _ -> t.built_cost <- t.built_cost + node_weight e);
+   | _ -> t.built_cost <- t.built_cost + E.node_weight e);
   e
 
 (* ------------------------------------------------------------------ *)
@@ -215,7 +210,7 @@ let write_var t name e =
 let load_concrete t addr n ~concrete_byte =
   let byte i =
     let a = Int64.add addr (Int64.of_int i) in
-    match Hashtbl.find_opt t.shadow a with
+    match Shadow.find_opt a t.shadow with
     | Some e -> e
     | None -> E.Const (Int64.of_int (concrete_byte a land 0xff), 8)
   in
@@ -236,17 +231,19 @@ let store_concrete ?(keep_concrete = false) t addr n e =
     let a = Int64.add addr (Int64.of_int i) in
     let b = charge t (mk_extract ((8 * i) + 7) (8 * i) e) in
     match b with
-    | E.Const _ when (not keep_concrete) && not (Hashtbl.mem t.shadow a) ->
+    | E.Const _ when (not keep_concrete) && not (Shadow.mem a t.shadow) ->
       (* concrete over concrete: the replica remembers it *)
       ()
-    | _ -> Hashtbl.replace t.shadow a b
+    | _ -> t.shadow <- Shadow.add a b t.shadow
   done
 
 (** Mark [len] bytes at [addr] as fresh symbolic input bytes named
     [prefix ^ "_" ^ i]. *)
 let symbolize_region t ~prefix addr len =
   for i = 0 to len - 1 do
-    Hashtbl.replace t.shadow
-      (Int64.add addr (Int64.of_int i))
-      (E.Var { vname = Printf.sprintf "%s_%d" prefix i; width = 8 })
+    t.shadow <-
+      Shadow.add
+        (Int64.add addr (Int64.of_int i))
+        (E.Var { vname = Printf.sprintf "%s_%d" prefix i; width = 8 })
+        t.shadow
   done

@@ -30,25 +30,17 @@ type hooks = {
       (** no replica runs alongside: shadow must hold constants too *)
 }
 
-module Phys = State.Phys
-
 (* depth of symbolic-load nesting inside [e]; [depths] remembers the
-   depth of previously built load results *)
+   depth of previously built load results.  DAG-aware: Angr-style load
+   results are ITE chains that share their address term *)
 let depth_of depths (e : E.t) =
   let best = ref 0 in
-  let rec go e =
-    (match Phys.find_opt depths (Obj.repr e) with
-     | Some d -> if d > !best then best := d
-     | None -> ());
-    match e with
-    | E.Var _ | E.Const _ -> ()
-    | E.Unop (_, a) | E.Extract (_, _, a) | E.Zext (_, a) | E.Sext (_, a)
-    | E.Fsqrt a | E.Fof_int a | E.Fto_int a -> go a
-    | E.Binop (_, a, b) | E.Cmp (_, a, b) | E.Concat (a, b)
-    | E.Fbin (_, a, b) | E.Fcmp (_, a, b) -> go a; go b
-    | E.Ite (c, a, b) -> go c; go a; go b
-  in
-  go e;
+  E.iter_dag
+    (fun e ->
+       match E.Phys.find_opt depths e with
+       | Some d when d > !best -> best := d
+       | _ -> ())
+    [ e ];
   !best
 
 type ctx = {
@@ -116,7 +108,7 @@ let sym_load ctx addr_e n =
                    (State.charge st (State.mk_cmp Eq addr_e (E.Const (c, 64))))
                    v !result)
           done;
-          Phys.replace ctx.state.State.load_depths (Obj.repr !result) (d + 1);
+          E.Phys.replace ctx.state.State.load_depths !result (d + 1);
           !result
         end)
 

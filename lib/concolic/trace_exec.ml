@@ -57,6 +57,7 @@ type branch = {
 
 type path = {
   constraints : (E.t * State.info) list;  (** execution order *)
+  path_fp : bool;                         (** some constraint has an FP term *)
   branches : branch list;                 (** negatable suffix points *)
   sym_jumps : (int64 * E.t * int64) list; (** pc, target expr, concrete *)
   diags : Error.diag list;
@@ -212,7 +213,8 @@ let run (config : config) ?session ?(sources : source list option)
     List.iter
       (fun (a, n) ->
          for i = 0 to n - 1 do
-           Hashtbl.remove st.shadow (Int64.add a (Int64.of_int i))
+           st.shadow <-
+             State.Shadow.remove (Int64.add a (Int64.of_int i)) st.shadow
          done)
       acc.w_mem;
     if acc.w_flags then
@@ -321,11 +323,10 @@ let run (config : config) ?session ?(sources : source list option)
               else
                 let a = Int64.add addr (Int64.of_int i) in
                 if Vm.Mem.read_u8 mem a = 0 then ()
-                else if Hashtbl.mem st.State.shadow a then
-                  (match Hashtbl.find_opt st.State.shadow a with
-                   | Some (E.Const _) | None -> scan (i + 1)
-                   | Some _ -> State.diag st Error.Taint_lost_in_kernel)
-                else scan (i + 1)
+                else
+                  match State.Shadow.find_opt a st.State.shadow with
+                  | Some (E.Const _) | None -> scan (i + 1)
+                  | Some _ -> State.diag st Error.Taint_lost_in_kernel
             in
             scan 0
           end);
@@ -342,14 +343,14 @@ let run (config : config) ?session ?(sources : source list option)
                     if follow_kernel then Hashtbl.find_opt kobj (obj, off + i)
                     else None
                   with
-                  | Some e -> Hashtbl.replace st.shadow a e
-                  | None -> Hashtbl.remove st.shadow a
+                  | Some e -> st.shadow <- State.Shadow.add a e st.shadow
+                  | None -> st.shadow <- State.Shadow.remove a st.shadow
                 done
               | Vm.Event.Eff_write { obj; off; addr; len } ->
                 let lost = ref false in
                 for i = 0 to len - 1 do
                   let a = Int64.add addr (Int64.of_int i) in
-                  match Hashtbl.find_opt st.shadow a with
+                  match State.Shadow.find_opt a st.shadow with
                   | Some e ->
                     if follow_kernel then
                       Hashtbl.replace kobj (obj, off + i) e
@@ -375,7 +376,9 @@ let run (config : config) ?session ?(sources : source list option)
          let slot = Int64.sub !last_rsp 8L in
          Vm.Mem.write mem slot 8 resume;
          for i = 0 to 7 do
-           Hashtbl.remove st.State.shadow (Int64.add slot (Int64.of_int i))
+           st.State.shadow <-
+             State.Shadow.remove (Int64.add slot (Int64.of_int i))
+               st.State.shadow
          done;
          (match config.signals with
           | Abort_on_signal ->
@@ -385,6 +388,7 @@ let run (config : config) ?session ?(sources : source list option)
   Telemetry.Metrics.add m_constraints (List.length st.State.constraints);
   Telemetry.Metrics.add m_sym_branches (List.length !branches);
   { constraints = List.rev st.State.constraints;
+    path_fp = st.State.path_fp;
     branches = List.rev !branches;
     sym_jumps = List.rev !sym_jumps;
     diags = st.State.diags;

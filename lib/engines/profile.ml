@@ -97,14 +97,13 @@ let run_bap ?(incremental = true) ?(ladder = Smt.Degrade.default_ladder)
     Concolic.Trace_exec.run Concolic.Trace_exec.bap_like_config ?session trace
   in
   let cs = List.map fst path.constraints in
-  let fp = List.exists Smt.Expr.contains_fp cs in
   let symbolic_branches = List.length path.branches in
   if path_too_large path then
     { proposed = None;
       diags = Concolic.Error.Solver_budget :: path.diags;
       crashed = false;
       budget_exhausted = true;
-      fp_seen = fp;
+      fp_seen = path.path_fp;
       symbolic_branches;
       trace_based = true;
       work = trace.result.steps }
@@ -132,7 +131,7 @@ let run_bap ?(incremental = true) ?(ladder = Smt.Degrade.default_ladder)
       crashed = false;
       budget_exhausted =
         List.exists (fun d -> d = Concolic.Error.Solver_budget) extra;
-      fp_seen = fp;
+      fp_seen = path.path_fp;
       symbolic_branches;
       trace_based = true;
       work = trace.result.steps }

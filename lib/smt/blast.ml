@@ -7,12 +7,7 @@
 
 exception Unsupported_fp
 
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+module Phys = Expr.Phys
 
 type t = {
   sat : Sat.t;
@@ -210,12 +205,11 @@ let sdivmod_vec t a b =
 (* ---- terms ---- *)
 
 let rec bits t (e : Expr.t) : int array =
-  let key = Obj.repr e in
-  match Phys.find_opt t.cache key with
+  match Phys.find_opt t.cache e with
   | Some v -> v
   | None ->
     let v = compute t e in
-    Phys.replace t.cache key v;
+    Phys.replace t.cache e v;
     v
 
 and compute t (e : Expr.t) : int array =

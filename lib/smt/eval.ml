@@ -22,25 +22,19 @@ let sext_to64 w v =
     let sh = 64 - w in
     Int64.shift_right (Int64.shift_left v sh) sh
 
-(* memoised on physical identity so shared sub-DAGs evaluate once *)
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
-
 let eval ?(memo = true) (env : env) (e : Expr.t) : int64 =
-  let cache : int64 Phys.t = Phys.create 256 in
+  (* memoised on physical identity so shared sub-DAGs evaluate once;
+     the unmemoised mode (constant folding, once per built node) must
+     not pay for a table *)
+  let cache = Expr.Phys.create (if memo then 256 else 1) in
   let rec go (e : Expr.t) : int64 =
     if not memo then compute e
     else
-      let key = Obj.repr e in
-      match Phys.find_opt cache key with
+      match Expr.Phys.find_opt cache e with
       | Some v -> v
       | None ->
         let v = compute e in
-        Phys.replace cache key v;
+        Expr.Phys.replace cache e v;
         v
   and compute (e : Expr.t) : int64 =
     let m = Expr.mask (Expr.width_of e) in

@@ -61,188 +61,122 @@ let rec width_of = function
   | Fbin _ | Fsqrt _ | Fof_int _ -> 64
   | Fto_int _ -> 64
 
-(* DAG-aware: shared sub-terms are visited once (a naive tree
-   recursion is exponential on circuit-like terms) *)
-let contains_fp e =
-  let seen : (int, t list) Hashtbl.t = Hashtbl.create 256 in
-  let visited e =
-    let key = Hashtbl.hash_param 2 4 e in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
-    if List.memq e bucket then true
-    else begin
-      Hashtbl.replace seen key (e :: bucket);
-      false
-    end
-  in
-  let rec go stack =
-    match stack with
-    | [] -> false
-    | e :: rest ->
-      if visited e then go rest
-      else
-        match e with
-        | Fbin _ | Fcmp _ | Fsqrt _ | Fof_int _ | Fto_int _ -> true
-        | Var _ | Const _ -> go rest
-        | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a) ->
-          go (a :: rest)
-        | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b) ->
-          go (a :: b :: rest)
-        | Ite (c, a, b) -> go (c :: a :: b :: rest)
-  in
-  go [ e ]
+(* ------------------------------------------------------------------ *)
+(* DAG traversal                                                       *)
+(* ------------------------------------------------------------------ *)
 
-(** Free variables, de-duplicated.  DAG-aware like {!contains_fp}. *)
-let vars e =
-  let names = Hashtbl.create 16 in
-  let acc = ref [] in
-  let seen : (int, t list) Hashtbl.t = Hashtbl.create 256 in
-  let visited e =
-    let key = Hashtbl.hash_param 2 4 e in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
-    if List.memq e bucket then true
-    else begin
-      Hashtbl.replace seen key (e :: bucket);
-      false
-    end
-  in
-  let rec go stack =
-    match stack with
+(** Tables keyed by node identity ([==]).  The bucket key is the full
+    structural hash: a shallow one puts nearly every node of a long
+    same-shaped chain (crypto rounds) into one bucket. *)
+module Phys = Hashtbl.Make (struct
+    type nonrec t = t
+
+    let equal = ( == )
+    let hash = Hashtbl.hash
+  end)
+
+(** [iter_dag f roots] calls [f] once on every distinct node (by
+    physical identity) reachable from [roots]: pre-order, children
+    left to right, roots in list order.  Linear in the DAG's size — a
+    naive tree recursion is exponential on circuit-like terms.  Nodes
+    satisfying [skip] are neither visited nor entered.  [f] may raise
+    to stop the walk early. *)
+let iter_dag ?(skip = fun _ -> false) f roots =
+  let seen = Phys.create 64 in
+  let rec go = function
     | [] -> ()
     | e :: rest ->
-      if visited e then go rest
-      else
+      if Phys.mem seen e || skip e then go rest
+      else begin
+        Phys.add seen e ();
+        f e;
         match e with
-        | Var v ->
-          if not (Hashtbl.mem names v.vname) then begin
-            Hashtbl.replace names v.vname ();
-            acc := v :: !acc
-          end;
-          go rest
-        | Const _ -> go rest
+        | Var _ | Const _ -> go rest
         | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
         | Fsqrt a | Fof_int a | Fto_int a -> go (a :: rest)
         | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
         | Fbin (_, a, b) | Fcmp (_, a, b) -> go (a :: b :: rest)
         | Ite (c, a, b) -> go (c :: a :: b :: rest)
+      end
   in
-  go [ e ];
-  List.rev !acc
+  go roots
 
-(** Free variables of a constraint list, de-duplicated across the whole
-    list in one DAG-aware pass (first-occurrence order).  This is the
-    single var-collection used by {!Solver.all_vars}, the FP search and
-    {!Session} — previously each re-deduplicated with its own table. *)
+(** Whether the term has a floating-point node anywhere.  [fp_free] is
+    a set of nodes already known to be FP-free: the walk does not enter
+    them, and a [false] answer adds every node it walked — so checking
+    a growing family of shared DAGs (a path's constraints) pays for
+    each node once. *)
+let contains_fp ?fp_free e =
+  let exception Found in
+  let walked = ref [] in
+  match
+    iter_dag ?skip:(Option.map Phys.mem fp_free)
+      (function
+        | Fbin _ | Fcmp _ | Fsqrt _ | Fof_int _ | Fto_int _ -> raise Found
+        | n -> if Option.is_some fp_free then walked := n :: !walked)
+      [ e ]
+  with
+  | () ->
+    Option.iter
+      (fun known -> List.iter (fun n -> Phys.replace known n ()) !walked)
+      fp_free;
+    false
+  | exception Found -> true
+
+(** Free variables of a constraint list, de-duplicated by name across
+    the whole list in one DAG-aware pass (first-occurrence order).
+    This is the single var-collection used by {!Solver.all_vars}, the
+    FP search and {!Session}. *)
 let vars_of_list es =
   let names = Hashtbl.create 16 in
   let acc = ref [] in
-  let seen : (int, t list) Hashtbl.t = Hashtbl.create 256 in
-  let visited e =
-    let key = Hashtbl.hash_param 2 4 e in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt seen key) in
-    if List.memq e bucket then true
-    else begin
-      Hashtbl.replace seen key (e :: bucket);
-      false
-    end
-  in
-  let rec go stack =
-    match stack with
-    | [] -> ()
-    | e :: rest ->
-      if visited e then go rest
-      else
-        match e with
-        | Var v ->
-          if not (Hashtbl.mem names v.vname) then begin
-            Hashtbl.replace names v.vname ();
-            acc := v :: !acc
-          end;
-          go rest
-        | Const _ -> go rest
-        | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
-        | Fsqrt a | Fof_int a | Fto_int a -> go (a :: rest)
-        | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
-        | Fbin (_, a, b) | Fcmp (_, a, b) -> go (a :: b :: rest)
-        | Ite (c, a, b) -> go (c :: a :: b :: rest)
-  in
-  List.iter (fun e -> go [ e ]) es;
+  iter_dag
+    (function
+      | Var v when not (Hashtbl.mem names v.vname) ->
+        Hashtbl.replace names v.vname ();
+        acc := v :: !acc
+      | _ -> ())
+    es;
   List.rev !acc
 
-(** Number of distinct nodes (DAG size, by physical identity). *)
-let dag_size e =
-  let module H = Hashtbl in
-  let seen : (Obj.t, unit) H.t = H.create 256 in
-  let count = ref 0 in
-  let rec go e =
-    let key = Obj.repr e in
-    if not (H.mem seen key) then begin
-      H.replace seen key ();
-      incr count;
-      match e with
-      | Var _ | Const _ -> ()
-      | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
-      | Fsqrt a | Fof_int a | Fto_int a -> go a
-      | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
-      | Fbin (_, a, b) | Fcmp (_, a, b) -> go a; go b
-      | Ite (c, a, b) -> go c; go a; go b
-    end
-  in
-  go e;
-  !count
+(** Free variables, de-duplicated. *)
+let vars e = vars_of_list [ e ]
+
+(** Bit-blast weight of one node: multiplications and divisions
+    dominate (quadratic in width).  Shared by {!blast_cost} and the
+    engines' incremental per-state cost. *)
+let node_weight = function
+  | Binop ((Mul | Udiv | Urem | Sdiv | Srem), a, _) ->
+    let w = width_of a in
+    3 * w * w
+  | Binop ((Shl | Lshr | Ashr), a, _) -> 24 * width_of a
+  | Binop (_, a, _) -> 5 * width_of a
+  | Cmp (_, a, _) -> 3 * width_of a
+  | Ite (_, a, _) -> 4 * width_of a
+  | Unop (Neg, a) -> 5 * width_of a
+  | _ -> 1
 
 (** Estimated CNF size if this term were bit-blasted, saturating at
-    [cap]: multiplications and divisions dominate (quadratic in
-    width), so a node count alone badly underestimates crypto-style
-    terms.  The traversal itself is budgeted — structural hashing of
-    huge DAGs must not cost more than the solving it guards — so the
-    result is exact below the budget and a safe over-approximation
-    ([cap]) beyond it. *)
+    [cap]: the sum of {!node_weight} over distinct nodes, since a node
+    count alone badly underestimates crypto-style terms.  The
+    traversal itself is budgeted — structural hashing of huge DAGs
+    must not cost more than the solving it guards — so the result is
+    exact below the budget and a safe over-approximation ([cap])
+    beyond it. *)
 let blast_cost ?(cap = max_int) ?(node_budget = 50_000) e =
-  let module H = Hashtbl in
-  (* shallow hashing keeps per-node cost constant; collisions only
-     grow buckets, and the node budget bounds the total work *)
-  let seen : (int, t list) H.t = H.create 1024 in
-  let weight = function
-    | Binop ((Mul | Udiv | Urem | Sdiv | Srem), a, _) ->
-      let w = width_of a in
-      3 * w * w
-    | Binop ((Shl | Lshr | Ashr), a, _) -> 24 * width_of a
-    | Binop (_, a, _) -> 5 * width_of a
-    | Cmp (_, a, _) -> 3 * width_of a
-    | Ite (_, a, _) -> 4 * width_of a
-    | Unop (Neg, a) -> 5 * width_of a
-    | _ -> 1
-  in
+  let exception Over in
   let cost = ref 0 in
   let visited = ref 0 in
-  let stack = ref [ e ] in
-  (try
-     while !stack <> [] do
-       match !stack with
-       | [] -> ()
-       | e :: rest ->
-         stack := rest;
-         let key = H.hash_param 2 4 e in
-         let bucket = Option.value ~default:[] (H.find_opt seen key) in
-         if not (List.memq e bucket) then begin
-           H.replace seen key (e :: bucket);
-           incr visited;
-           cost := !cost + weight e;
-           if !cost > cap || !visited > node_budget then begin
-             cost := cap + 1;
-             raise Exit
-           end;
-           match e with
-           | Var _ | Const _ -> ()
-           | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
-           | Fsqrt a | Fof_int a | Fto_int a -> stack := a :: !stack
-           | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
-           | Fbin (_, a, b) | Fcmp (_, a, b) -> stack := a :: b :: !stack
-           | Ite (c, a, b) -> stack := c :: a :: b :: !stack
-         end
-     done
-   with Exit -> ());
-  !cost
+  match
+    iter_dag
+      (fun e ->
+         incr visited;
+         cost := !cost + node_weight e;
+         if !cost > cap || !visited > node_budget then raise Over)
+      [ e ]
+  with
+  | () -> !cost
+  | exception Over -> cap + 1
 
 (* ------------------------------------------------------------------ *)
 (* Smart constructors                                                  *)

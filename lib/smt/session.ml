@@ -60,12 +60,7 @@ let default_config =
 (* Hash-consing                                                        *)
 (* ------------------------------------------------------------------ *)
 
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
+module Phys = Expr.Phys
 
 (* shallow structural key: constructor tag + immediate payload +
    canonical child ids.  Children are interned first, so two nodes
@@ -127,11 +122,11 @@ let key ?(i = 0L) ?(n = 0) ?(s = "") tag kids : Key.t =
   { Key.tag; i; n; s; kids }
 
 let rec intern_node t (e : Expr.t) : interned =
-  match Phys.find_opt t.intern_memo (Obj.repr e) with
+  match Phys.find_opt t.intern_memo e with
   | Some i -> i
   | None ->
     let i = cons t e in
-    Phys.replace t.intern_memo (Obj.repr e) i;
+    Phys.replace t.intern_memo e i;
     i
 
 and cons t (e : Expr.t) : interned =

@@ -2,13 +2,6 @@
     that matter for lifted machine code (flag computations produce many
     [x ^ x], [x & mask], double-extract patterns). *)
 
-module Phys = Hashtbl.Make (struct
-    type t = Obj.t
-
-    let equal = ( == )
-    let hash = Hashtbl.hash
-  end)
-
 let empty_env : Eval.env = Hashtbl.create 1
 
 let is_const = function Expr.Const _ -> true | _ -> false
@@ -21,21 +14,20 @@ let const_value = function
     [run] call unless the caller supplies a persistent one — sessions
     do, so re-simplifying a path-predicate prefix is a table lookup per
     node instead of a re-walk of the whole predicate. *)
-type cache = Expr.t Phys.t
+type cache = Expr.t Expr.Phys.t
 
-let create_cache () : cache = Phys.create 1024
+let create_cache () : cache = Expr.Phys.create 1024
 
 let run ?cache (e : Expr.t) : Expr.t =
-  let cache : Expr.t Phys.t =
-    match cache with Some c -> c | None -> Phys.create 256
+  let cache =
+    match cache with Some c -> c | None -> Expr.Phys.create 256
   in
   let rec go e =
-    let key = Obj.repr e in
-    match Phys.find_opt cache key with
+    match Expr.Phys.find_opt cache e with
     | Some v -> v
     | None ->
       let v = rewrite e in
-      Phys.replace cache key v;
+      Expr.Phys.replace cache e v;
       v
   and rewrite (e : Expr.t) : Expr.t =
     let open Expr in

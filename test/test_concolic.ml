@@ -92,7 +92,63 @@ let fp_constraints_with_full_lifting () =
   let path = run_trace ~argv1:"9999" ~cfg bomb in
   let cs = List.map fst path.constraints in
   Alcotest.(check bool) "fp constraint present" true
-    (List.exists E.contains_fp cs)
+    (List.exists E.contains_fp cs);
+  Alcotest.(check bool) "path reports fp" true path.path_fp
+
+(* the recorded fact must equal a walk of the path condition after
+   every step that can change it *)
+let path_fp_tracks_constraints () =
+  let module St = Concolic.State in
+  let check what st =
+    Alcotest.(check bool) what
+      (List.exists E.contains_fp (St.path_condition st))
+      st.St.path_fp
+  in
+  let x = E.var ~width:64 "x" in
+  let st = St.create () in
+  check "empty" st;
+  St.add_constraint st ~pc:1L ~taken:true (E.Cmp (Ult, x, E.const 9L));
+  check "integer constraint" st;
+  St.add_constraint st ~pc:2L ~taken:true E.tru;
+  check "concretely-true constraint skipped" st;
+  let fork = St.clone st in
+  check "clone of integer path" fork;
+  St.add_constraint fork ~pc:3L ~taken:false
+    (E.Fcmp (Flt, E.Fof_int x, E.const 0L));
+  check "fp constraint" fork;
+  Alcotest.(check bool) "fork reports fp" true fork.St.path_fp;
+  check "parent unaffected by its fork" st;
+  Alcotest.(check bool) "parent stays integer" false st.St.path_fp;
+  St.add_constraint fork ~pc:4L ~taken:true (E.Cmp (Eq, x, E.const 1L));
+  check "integer after fp" fork;
+  let fork2 = St.clone fork in
+  St.add_constraint fork2 ~pc:5L ~taken:true E.tru;
+  check "clone of fp path" fork2
+
+(* forks share the parent's memory shadow: a store in one must not be
+   seen by the other *)
+let clone_isolates_memory () =
+  let module St = Concolic.State in
+  let expr = Alcotest.testable E.pp E.equal in
+  let byte st = St.load_concrete st 0x100L 1 ~concrete_byte:(fun _ -> 0) in
+  let st = St.create () in
+  St.symbolize_region st ~prefix:"in" 0x100L 2;
+  let fork = St.clone st in
+  St.store_concrete ~keep_concrete:true fork 0x100L 1 (E.const ~width:8 7L);
+  Alcotest.(check expr) "fork sees its store" (E.const ~width:8 7L) (byte fork);
+  Alcotest.(check expr) "parent keeps its byte" (E.var ~width:8 "in_0")
+    (byte st);
+  St.store_concrete ~keep_concrete:true st 0x100L 1 (E.const ~width:8 9L);
+  Alcotest.(check expr) "fork unaffected by the parent" (E.const ~width:8 7L)
+    (byte fork)
+
+let path_fp_false_without_fp () =
+  let cfg =
+    { Concolic.Trace_exec.bap_like_config with lift_stack_ops = true }
+  in
+  let path = run_trace ~cfg (Bombs.Catalog.find "stack_bomb") in
+  Alcotest.(check bool) "constraints recorded" true (path.constraints <> []);
+  Alcotest.(check bool) "no fp" false path.path_fp
 
 let covert_taint_policy_matters () =
   let bomb = Bombs.Catalog.find "file_bomb" in
@@ -255,6 +311,10 @@ let () =
          Alcotest.test_case "fp lift gap" `Quick fp_lift_gap_detected;
          Alcotest.test_case "fp constraints" `Quick
            fp_constraints_with_full_lifting;
+         Alcotest.test_case "path fp fact" `Quick path_fp_tracks_constraints;
+         Alcotest.test_case "path fp false" `Quick path_fp_false_without_fp;
+         Alcotest.test_case "clone isolates memory" `Quick
+           clone_isolates_memory;
          Alcotest.test_case "covert taint policy" `Quick
            covert_taint_policy_matters;
          Alcotest.test_case "memory model gap" `Quick memory_model_gap ]);

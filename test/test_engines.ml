@@ -170,6 +170,24 @@ let table1_covers_all_challenges () =
        then Alcotest.failf "missing challenge %s" c)
     [ "Symbolic Array"; "Symbolic Jump"; "Floating-point" ]
 
+(* Angr/sha1_bomb reaches its E through the constraint-size guard; the
+   path-condition FP fact keeps that walk cheap enough for tier-1, and
+   these counts pin the exploration itself as unchanged *)
+let angr_sha1_pinned () =
+  let bomb = Bombs.Catalog.find "sha1_bomb" in
+  let g = Engines.Grade.run_cell Engines.Profile.Angr bomb in
+  Alcotest.(check string) "grade" (cell_symbol Abnormal) (cell_symbol g.cell);
+  Alcotest.(check int) "graded steps" 59_656 g.work;
+  let o =
+    Concolic.Dse.explore
+      (Concolic.Dse.default_config Concolic.Dse.With_libs)
+      (Bombs.Catalog.image bomb)
+  in
+  Alcotest.(check int) "steps" 59_656 o.steps;
+  Alcotest.(check int) "explored_states" 169 o.explored_states;
+  Alcotest.(check int) "symbolic_branches" 168 o.symbolic_branches;
+  Alcotest.(check int) "solver queries" 16 o.solver_stats.Smt.Stats.queries
+
 let () =
   Alcotest.run "engines"
     [ ("cells",
@@ -218,7 +236,9 @@ let () =
            (check_cell Engines.Profile.Triton "pthread_bomb" (Fail Es2));
          (* fork: only the NoLib summary solves it *)
          Alcotest.test_case "angr-nolib/fork OK" `Quick
-           (check_cell Engines.Profile.Angr_nolib "fork_bomb" Success) ]);
+           (check_cell Engines.Profile.Angr_nolib "fork_bomb" Success);
+         (* sha1: the constraint-size guard, the paper's scalability E *)
+         Alcotest.test_case "angr/sha1 E" `Quick angr_sha1_pinned ]);
       ("aggregates",
        [ Alcotest.test_case "fig3 shape" `Quick fig3_shape;
          Alcotest.test_case "fig3 telemetry agreement" `Quick

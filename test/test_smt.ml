@@ -137,6 +137,134 @@ let simplify_sound =
        let after = Eval.eval env (Simplify.run e) in
        Int64.equal before after)
 
+(* ---------------- DAG walkers ---------------- *)
+
+(* naive tree-walk references for the DAG-aware walkers in Expr *)
+let children : Expr.t -> Expr.t list = function
+  | Var _ | Const _ -> []
+  | Unop (_, a) | Extract (_, _, a) | Zext (_, a) | Sext (_, a)
+  | Fsqrt a | Fof_int a | Fto_int a -> [ a ]
+  | Binop (_, a, b) | Cmp (_, a, b) | Concat (a, b)
+  | Fbin (_, a, b) | Fcmp (_, a, b) -> [ a; b ]
+  | Ite (c, a, b) -> [ c; a; b ]
+
+let rec ref_contains_fp (e : Expr.t) =
+  (match e with
+   | Fbin _ | Fcmp _ | Fsqrt _ | Fof_int _ | Fto_int _ -> true
+   | _ -> false)
+  || List.exists ref_contains_fp (children e)
+
+(* tree pre-order, first occurrence of each name *)
+let ref_vars_of_list es =
+  let rec go acc (e : Expr.t) =
+    let acc =
+      match e with
+      | Var v
+        when not (List.exists (fun (u : Expr.var) -> u.vname = v.vname) acc)
+        -> v :: acc
+      | _ -> acc
+    in
+    List.fold_left go acc (children e)
+  in
+  List.rev (List.fold_left go [] es)
+
+(* physically distinct nodes, collected by a tree walk *)
+let ref_nodes e =
+  let rec go seen e =
+    if List.memq e seen then seen
+    else List.fold_left go (e :: seen) (children e)
+  in
+  go [] e
+
+let ref_blast_cost ~cap ~node_budget e =
+  let nodes = ref_nodes e in
+  let cost = List.fold_left (fun acc n -> acc + Expr.node_weight n) 0 nodes in
+  if cost > cap || List.length nodes > node_budget then cap + 1 else cost
+
+let rec ref_depth_of depths e =
+  List.fold_left
+    (fun best c -> max best (ref_depth_of depths c))
+    (Option.value ~default:0 (Expr.Phys.find_opt depths e))
+    (children e)
+
+(* fixed-seed generator terms, recombined so that some share sub-terms
+   and some carry FP nodes *)
+let walker_terms () =
+  List.concat_map
+    (fun seed ->
+       let a = Difftest.Gen.(of_seed gen_constraint seed) in
+       let b = Difftest.Gen.(of_seed gen_constraint (seed + 1000)) in
+       let fp =
+         Expr.Fcmp (Flt, Expr.Fof_int (Expr.Zext (64, b)), Expr.const 0L)
+       in
+       let mixed = Expr.Binop (Or, a, fp) in
+       [ a;
+         Expr.Binop (And, a, a);
+         Expr.Ite (a, b, Expr.Binop (Xor, b, a));
+         mixed;
+         Expr.Binop (And, b, mixed);
+         Expr.Binop (And, fp, Expr.Binop (Or, fp, a));
+         Expr.Fto_int (Expr.Fsqrt (Expr.Zext (64, a))) ])
+    (List.init 100 Fun.id)
+
+let var_t = Alcotest.testable Expr.pp_var Expr.equal_var
+
+let walkers_match_tree_walks () =
+  let fp_free = Expr.Phys.create 16 in
+  List.iteri
+    (fun i e ->
+       let what s = Printf.sprintf "term %d: %s" i s in
+       let fp = ref_contains_fp e in
+       Alcotest.(check bool) (what "contains_fp") fp (Expr.contains_fp e);
+       Alcotest.(check bool) (what "contains_fp, shared memo") fp
+         (Expr.contains_fp ~fp_free e);
+       Alcotest.(check (list var_t)) (what "vars") (ref_vars_of_list [ e ])
+         (Expr.vars e);
+       let es = [ e; Expr.Unop (Not, e); Expr.var ~width:3 "w" ] in
+       Alcotest.(check (list var_t)) (what "vars_of_list")
+         (ref_vars_of_list es) (Expr.vars_of_list es);
+       List.iter
+         (fun (cap, node_budget) ->
+            Alcotest.(check int)
+              (what (Printf.sprintf "blast_cost cap=%d budget=%d" cap
+                       node_budget))
+              (ref_blast_cost ~cap ~node_budget e)
+              (Expr.blast_cost ~cap ~node_budget e))
+         [ (max_int, 50_000); (60, 50_000); (max_int, 8); (200, 20) ];
+       let depths = Expr.Phys.create 16 in
+       List.iteri
+         (fun j n -> if j mod 3 = 0 then Expr.Phys.replace depths n (j mod 5))
+         (ref_nodes e);
+       Alcotest.(check int) (what "depth_of") (ref_depth_of depths e)
+         (Concolic.Sym_exec.depth_of depths e))
+    (walker_terms ())
+
+(* x_{i+1} = x_i + x_i: 61 DAG nodes, a 2^60-node tree *)
+let walkers_linear_on_shared_chain () =
+  let rec chain n e =
+    if n = 0 then e else chain (n - 1) (Expr.Binop (Add, e, e))
+  in
+  let rec down n (e : Expr.t) =
+    match e with Binop (_, a, _) when n > 0 -> down (n - 1) a | _ -> e
+  in
+  let x = Expr.var ~width:8 "x" in
+  let top = chain 60 x in
+  let nodes = ref 0 in
+  Expr.iter_dag (fun _ -> incr nodes) [ top ];
+  Alcotest.(check int) "dag nodes" 61 !nodes;
+  Alcotest.(check bool) "no fp" false (Expr.contains_fp top);
+  Alcotest.(check bool) "fp at the bottom" true
+    (Expr.contains_fp (chain 60 (Expr.Fto_int (Expr.var "d"))));
+  Alcotest.(check (list var_t)) "vars" [ { vname = "x"; width = 8 } ]
+    (Expr.vars top);
+  Alcotest.(check (list var_t)) "vars_of_list" [ { vname = "x"; width = 8 } ]
+    (Expr.vars_of_list [ top; chain 30 x ]);
+  Alcotest.(check int) "blast_cost" ((60 * 5 * 8) + 1) (Expr.blast_cost top);
+  let depths = Expr.Phys.create 4 in
+  Expr.Phys.replace depths x 2;
+  Expr.Phys.replace depths (down 30 top) 5;
+  Alcotest.(check int) "depth_of" 5 (Concolic.Sym_exec.depth_of depths top)
+
 (* ---------------- end-to-end solver ---------------- *)
 
 let solve_simple_eq () =
@@ -436,6 +564,11 @@ let () =
          Alcotest.test_case "pigeonhole" `Quick sat_pigeonhole;
          Alcotest.test_case "random 3-sat models" `Quick sat_random_models ]);
       ("blast", qcheck_tests);
+      ("dag",
+       [ Alcotest.test_case "walkers match tree walks" `Quick
+           walkers_match_tree_walks;
+         Alcotest.test_case "shared chain" `Quick
+           walkers_linear_on_shared_chain ]);
       ("solver",
        [ Alcotest.test_case "simple eq" `Quick solve_simple_eq;
          Alcotest.test_case "mul inverse" `Quick solve_mul_inverse;
