@@ -766,145 +766,6 @@ let obs_report () =
     (1e3 *. bare_s) (pct off_prof_s) (pct phases_s);
   print_endline "wrote BENCH_obs.json"
 
-(* ---------------- machine-readable service-plane report ----------- *)
-
-(* the serve daemon measured as a service: throughput and request
-   latency with IPC chaos off and at the soak's fault rates, and the
-   load-shedding behaviour of a deliberately overloaded queue *)
-let serve_report () =
-  let socket = "bench_serve.sock" in
-  let rm p = try Sys.remove p with Sys_error _ -> () in
-  let fork_daemon ~workers ~max_queue ~rate () =
-    rm socket;
-    flush stdout;
-    flush stderr;
-    match Unix.fork () with
-    | 0 -> (
-        try
-          Engines.Service.serve ~workers ~max_queue ~task_timeout:1.0
-            ~respawns:4 ~breaker:8 ~chaos_seed:42L ~chaos_rate:rate ~socket
-            ();
-          Unix._exit 0
-        with _ -> Unix._exit 1)
-    | pid -> pid
-  in
-  let await () =
-    let rec go tries =
-      if tries = 0 then failwith "bench serve: daemon never became ready"
-      else
-        match Engines.Service.ping ~socket () with
-        | Some _ -> ()
-        | None ->
-            ignore (Unix.select [] [] [] 0.05);
-            go (tries - 1)
-    in
-    go 400
-  in
-  let grid =
-    [ (Engines.Profile.Bap, "time_bomb");
-      (Engines.Profile.Triton, "time_bomb");
-      (Engines.Profile.Bap, "argvlen_bomb");
-      (Engines.Profile.Triton, "argvlen_bomb") ]
-  in
-  let requests n =
-    List.init n (fun i ->
-        let tool, bomb = List.nth grid (i mod List.length grid) in
-        let id =
-          Printf.sprintf "r%03d/%s/%s" i (Engines.Profile.name tool) bomb
-        in
-        (id, Engines.Service.encode_request ~id ~tool ~bomb ()))
-  in
-  let n = 60 in
-  let open Telemetry.Trace_check in
-  let num j name =
-    match Option.bind j (member name) with
-    | Some (Num v) -> v
-    | _ -> 0.
-  in
-  (* --- throughput + latency at each fault rate --- *)
-  let measure rate =
-    Printf.printf "serve: %d requests, 2 workers, fault rate %g...\n%!" n
-      rate;
-    let pid = fork_daemon ~workers:2 ~max_queue:10_000 ~rate () in
-    await ();
-    let t0 = Unix.gettimeofday () in
-    let r = Engines.Service.submit_resilient ~socket (requests n) in
-    let wall = Unix.gettimeofday () -. t0 in
-    (* the daemon's own histogram: accept-to-reply per request *)
-    let health = Option.bind (Engines.Service.health ~socket ()) parse_opt in
-    let lat = Option.bind health (member "latency_ms") in
-    let p50 = num lat "p50" and p95 = num lat "p95" in
-    (try Engines.Service.drain ~socket () with _ -> ());
-    ignore (Unix.waitpid [] pid);
-    rm socket;
-    if r.Engines.Service.sr_answered <> n then
-      Printf.printf "  WARNING: only %d/%d answered\n%!"
-        r.Engines.Service.sr_answered n;
-    ( rate,
-      float_of_int r.Engines.Service.sr_answered /. wall,
-      p50, p95, wall,
-      r.Engines.Service.sr_answered = n )
-  in
-  let runs = List.map measure [ 0.; 0.01; 0.05 ] in
-  (* --- overload: 1 worker, a queue capped far below the offered load
-     --- *)
-  let overload_n = 100 and max_queue = 8 in
-  Printf.printf "serve overload: %d requests into a queue of %d...\n%!"
-    overload_n max_queue;
-  let pid = fork_daemon ~workers:1 ~max_queue ~rate:0. () in
-  await ();
-  let shed = ref 0 and done_ = ref 0 and retry_hint = ref 0. in
-  ignore
-    (Engines.Service.submit ~socket
-       ~on_line:(fun l ->
-         match Engines.Service.status_of_line l with
-         | Some "rejected" ->
-             incr shed;
-             let j = parse_opt l in
-             retry_hint := Float.max !retry_hint (num j "retry_after_s")
-         | Some "done" -> incr done_
-         | _ -> ())
-       (List.map snd (requests overload_n)));
-  (try Engines.Service.drain ~socket () with _ -> ());
-  ignore (Unix.waitpid [] pid);
-  rm socket;
-  let shed_rate = float_of_int !shed /. float_of_int overload_n in
-  let run_json (rate, thr, p50, p95, wall, complete) =
-    Printf.sprintf
-      "    {\"fault_rate\": %g, \"throughput_per_s\": %.1f, \
-       \"latency_ms\": {\"p50\": %.3f, \"p95\": %.3f}, \"wall_s\": %.3f, \
-       \"all_answered\": %b}"
-      rate thr p50 p95 wall complete
-  in
-  let json =
-    Printf.sprintf
-      "{\n\
-      \  \"requests\": %d, \"workers\": 2,\n\
-      \  \"chaos\": [\n%s\n  ],\n\
-      \  \"overload\": {\"requests\": %d, \"workers\": 1, \
-       \"max_queue\": %d,\n\
-      \    \"shed\": %d, \"completed\": %d, \"shed_rate\": %.2f, \
-       \"max_retry_after_s\": %.0f}\n\
-       }\n"
-      n
-      (String.concat ",\n" (List.map run_json runs))
-      overload_n max_queue !shed !done_ shed_rate !retry_hint
-  in
-  let oc = open_out "BENCH_serve.json" in
-  output_string oc json;
-  close_out oc;
-  List.iter
-    (fun (rate, thr, p50, p95, _, _) ->
-       Printf.printf
-         "serve @ fault rate %g: %.1f req/s, latency p50 %.2f ms p95 %.2f \
-          ms\n"
-         rate thr p50 p95)
-    runs;
-  Printf.printf
-    "overload: %d/%d shed (rate %.2f, retry-after <= %.0fs), %d completed\n"
-    !shed overload_n shed_rate !retry_hint !done_;
-  print_endline "wrote BENCH_serve.json"
-
 (* --- storage durability: sync-policy overhead per append, fsck
    verify throughput, repair success rate by injected fault class --- *)
 let disk_report () =
@@ -1061,10 +922,6 @@ let () =
   end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--obs-report" then begin
     obs_report ();
-    exit 0
-  end;
-  if Array.length Sys.argv > 1 && Sys.argv.(1) = "--serve-report" then begin
-    serve_report ();
     exit 0
   end;
   if Array.length Sys.argv > 1 && Sys.argv.(1) = "--disk-report" then begin

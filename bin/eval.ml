@@ -183,125 +183,6 @@ let run_resume force no_incremental no_ladder budget_spec retries backoff
     budget_spec retries backoff tools_filter bombs_filter journal None false
     trace_dir workers profile fleet_trace progress metrics_out
 
-(* ------------------------------------------------------------------ *)
-(* Fleet service: serve / submit / drain                               *)
-(* ------------------------------------------------------------------ *)
-
-let run_serve socket workers max_queue queue_journal force task_timeout
-    breaker trace_dir =
-  set_trace_dir trace_dir;
-  if workers < 1 then begin
-    Printf.eprintf "--workers must be >= 1\n";
-    exit 2
-  end;
-  match
-    Engines.Service.serve ~workers ~max_queue ?queue_journal ~force
-      ?task_timeout:(if task_timeout <= 0. then None else Some task_timeout)
-      ?breaker:(if breaker <= 0 then None else Some breaker)
-      ~socket ()
-  with
-  | () -> ()
-  | exception Fleet.Serve.Journal_mismatch { path; found; expected } ->
-    Printf.eprintf
-      "serve: queue journal %s was written by a different serving \
-       configuration (journal fingerprint %s, this daemon %s) — its \
-       outcomes cannot be replayed; move the journal aside, or pass \
-       --force to ignore it and re-grade\n"
-      path found expected;
-    exit 2
-  | exception Fleet.Serve.Socket_in_use path ->
-    Printf.eprintf
-      "serve: a daemon is already listening on %s (use `eval drain` to \
-       stop it, or pick another --socket)\n"
-      path;
-    exit 2
-  | exception Fleet.Serve.Stale_socket path ->
-    Printf.eprintf
-      "serve: stale socket %s — no daemon is listening, but the file \
-       exists (a previous daemon died without cleanup). Remove it and \
-       retry.\n"
-      path;
-    exit 2
-
-let run_submit socket reconnect tools_filter bombs_filter budget_spec retries
-    backoff no_incremental no_ladder =
-  let tools = parse_tools tools_filter in
-  let bombs =
-    match bombs_filter with
-    | [] -> List.map (fun (b : Bombs.Common.t) -> b.name) Bombs.Catalog.table2
-    | names ->
-      List.map (fun n -> (Bombs.Catalog.find n).Bombs.Common.name) names
-  in
-  (match budget_spec with
-   | None -> ()
-   | Some spec -> (
-       match Robust.Budget.parse spec with
-       | Ok _ -> ()
-       | Error e ->
-         Printf.eprintf "bad --budget: %s\n" e;
-         exit 2));
-  let requests =
-    List.concat_map
-      (fun bomb ->
-         List.map
-           (fun tool ->
-              let id = Engines.Profile.name tool ^ "/" ^ bomb in
-              ( id,
-                Engines.Service.encode_request ~id ~tool ~bomb
-                  ?budget:budget_spec ~retries ~backoff
-                  ~incremental:(not no_incremental) ~ladder:(not no_ladder)
-                  () ))
-           tools)
-      bombs
-  in
-  if reconnect then begin
-    (* resilient path: reconnect across daemon restarts, resubmitting
-       under the same idempotency keys so the durable queue dedupes *)
-    let r =
-      Engines.Service.submit_resilient ~socket ~on_line:print_endline
-        requests
-    in
-    if r.Engines.Service.sr_unanswered > 0 then begin
-      Printf.eprintf
-        "submit: %d request(s) unanswered after %d session(s) — daemon \
-         on %s unreachable or restarting too slowly\n"
-        r.Engines.Service.sr_unanswered r.Engines.Service.sr_sessions socket;
-      exit 2
-    end;
-    if r.Engines.Service.sr_failed > 0 then exit 1
-  end
-  else
-    match
-      Engines.Service.submit ~socket ~on_line:print_endline
-        (List.map snd requests)
-    with
-    | failures -> if failures > 0 then exit 1
-    | exception Unix.Unix_error (e, _, _) ->
-      Printf.eprintf "submit: cannot reach daemon on %s: %s\n" socket
-        (Unix.error_message e);
-      exit 2
-    | exception Sys_error msg ->
-      Printf.eprintf "submit: connection to daemon on %s failed: %s\n" socket
-        msg;
-      exit 2
-    | exception End_of_file ->
-      Printf.eprintf "submit: daemon on %s hung up mid-stream\n" socket;
-      exit 2
-
-let run_health socket =
-  match Engines.Service.health ~socket () with
-  | Some line -> print_endline line
-  | None ->
-    Printf.eprintf "health: no daemon answers on %s\n" socket;
-    exit 2
-
-let run_metrics socket prometheus =
-  match Engines.Service.metrics ~socket ~prometheus () with
-  | Some text -> if prometheus then print_string text else print_endline text
-  | None ->
-    Printf.eprintf "metrics: no daemon answers on %s\n" socket;
-    exit 2
-
 let run_profile path top =
   if not (Sys.file_exists path) then begin
     Printf.eprintf "profile: %s does not exist\n" path;
@@ -317,21 +198,6 @@ let run_profile path top =
   | samples -> print_string (Engines.Cellprof.render_report ~top samples)
   | exception Sys_error msg ->
     Printf.eprintf "profile: %s\n" msg;
-    exit 2
-
-let run_drain socket =
-  match Engines.Service.drain ~socket ~on_line:print_endline () with
-  | () -> ()
-  | exception Unix.Unix_error (e, _, _) ->
-    Printf.eprintf "drain: cannot reach daemon on %s: %s\n" socket
-      (Unix.error_message e);
-    exit 2
-  | exception Sys_error msg ->
-    Printf.eprintf "drain: connection to daemon on %s failed: %s\n" socket
-      msg;
-    exit 2
-  | exception End_of_file ->
-    Printf.eprintf "drain: daemon on %s hung up mid-stream\n" socket;
     exit 2
 
 let run_fig3 trace_dir =
@@ -371,7 +237,7 @@ let run_table1 () = print_string (Engines.Eval.render_table1 ())
 (* chaos: seeded fault-injection soak over supervised cells.  The
    seed comes from --seed, else ROBUST_CHAOS_SEED, else a fixed
    default so bare runs are reproducible *)
-let run_chaos no_incremental seed plans serve disk rate workers tools_filter
+let run_chaos no_incremental seed plans disk rate workers tools_filter
     bombs_filter verbose =
   let seed =
     match seed with
@@ -397,10 +263,6 @@ let run_chaos no_incremental seed plans serve disk rate workers tools_filter
     | names -> names
   in
   if disk then begin
-    if serve then begin
-      Printf.eprintf "chaos: --disk and --serve are mutually exclusive\n";
-      exit 2
-    end;
     (* storage-fault soak: journaled fleet grid under seeded disk
        faults (ENOSPC, short writes, bit flips, torn fsyncs, failed
        renames), then fsck --repair + resume + canonical merge must
@@ -411,20 +273,6 @@ let run_chaos no_incremental seed plans serve disk rate workers tools_filter
     print_string (Engines.Disk_soak.render report);
     if not (Engines.Disk_soak.ok report) then begin
       Printf.eprintf "chaos: disk soak containment FAILED\n";
-      exit 1
-    end;
-    exit 0
-  end;
-  if serve then begin
-    (* service-plane soak: live daemon under seeded IPC chaos plus a
-       mid-stream SIGKILL + warm restart; exactly-once grading and a
-       byte-identical merged journal are the containment gate *)
-    let report =
-      Engines.Serve_soak.run ~plans ~seed ~rate ~tools ~bombs ()
-    in
-    print_string (Engines.Serve_soak.render report);
-    if not (Engines.Serve_soak.ok report) then begin
-      Printf.eprintf "chaos: serve soak containment FAILED\n";
       exit 1
     end;
     exit 0
@@ -735,121 +583,6 @@ let resume_cmd =
           $ journal_arg $ trace_dir_arg $ workers_arg $ profile_out_arg
           $ fleet_trace_arg $ progress_arg $ metrics_out_arg)
 
-let socket_arg =
-  Arg.(value & opt string "eval.sock"
-       & info [ "socket" ] ~docv:"PATH"
-         ~doc:"Unix-domain socket the daemon listens on")
-
-let serve_cmd =
-  let serve_workers_arg =
-    Arg.(value & opt int 2
-         & info [ "workers" ] ~docv:"N"
-           ~doc:"Fleet worker processes answering requests")
-  in
-  let max_queue_arg =
-    Arg.(value & opt int 10_000
-         & info [ "max-queue" ] ~docv:"N"
-           ~doc:
-             "Backpressure: reject submissions once $(docv) requests \
-              are queued (not yet running)")
-  in
-  let queue_journal_arg =
-    Arg.(value & opt (some string) None
-         & info [ "queue-journal" ] ~docv:"PATH"
-           ~doc:
-             "Durable request queue: journal every accepted request \
-              (keyed by its idempotency fingerprint) before \
-              acknowledging it and every graded outcome before \
-              streaming it, so a daemon restarted after a crash \
-              re-dispatches in-flight requests and answers \
-              resubmissions from the journal — exactly-once grading \
-              across crashes")
-  in
-  let task_timeout_arg =
-    Arg.(value & opt float 60.
-         & info [ "task-timeout" ] ~docv:"SECONDS"
-           ~doc:
-             "Per-cell wall watchdog: a worker silent this long on one \
-              cell is killed and the cell re-dispatched (0 disables)")
-  in
-  let breaker_arg =
-    Arg.(value & opt int 5
-         & info [ "breaker" ] ~docv:"N"
-           ~doc:
-             "Circuit breaker: quarantine a worker slot after $(docv) \
-              consecutive deaths instead of respawning it forever \
-              (0 disables)")
-  in
-  Cmd.v
-    (Cmd.info "serve"
-       ~doc:
-         "Run the evaluation daemon: accept line-framed JSON cell \
-          requests (bomb + tool profile + budget) on a Unix-domain \
-          socket, shard them across a fleet of forked workers, and \
-          stream graded outcomes (with Es-stage and degradation \
-          attribution) back to each submitter. Refuses to bind over a \
-          live or stale socket. Runs until `eval drain` (or SIGINT), \
-          which finishes the queue and removes the socket.")
-    Term.(const run_serve $ socket_arg $ serve_workers_arg $ max_queue_arg
-          $ queue_journal_arg $ force_arg $ task_timeout_arg $ breaker_arg
-          $ trace_dir_arg)
-
-let submit_cmd =
-  let reconnect_arg =
-    Arg.(value & flag
-         & info [ "reconnect" ]
-           ~doc:
-             "Survive daemon restarts: reconnect with backoff on \
-              connection refusal or mid-stream hangup and resubmit \
-              unanswered requests under the same idempotency keys (a \
-              daemon with --queue-journal answers repeats from its \
-              journal instead of re-grading)")
-  in
-  Cmd.v
-    (Cmd.info "submit"
-       ~doc:
-         "Submit Table II cells to a running `eval serve` daemon (one \
-          request per --tool x --bomb combination; defaults to the \
-          full grid) and stream the graded outcome lines as they \
-          complete. Exits 1 if any cell fails.")
-    Term.(const run_submit $ socket_arg $ reconnect_arg $ tools_arg
-          $ bombs_arg $ budget_arg $ retries_arg $ backoff_arg
-          $ no_incremental_arg $ no_ladder_arg)
-
-let drain_cmd =
-  Cmd.v
-    (Cmd.info "drain"
-       ~doc:
-         "Ask the daemon to finish every queued request, shut down \
-          and remove its socket; streams status lines until the final \
-          drained acknowledgement.")
-    Term.(const run_drain $ socket_arg)
-
-let health_cmd =
-  Cmd.v
-    (Cmd.info "health"
-       ~doc:
-         "One-line health summary from a running `eval serve` daemon: \
-          version, fingerprint, uptime, workers alive, queue depth, \
-          in-flight cells and p50/p95/p99 request latency")
-    Term.(const run_health $ socket_arg)
-
-let metrics_cmd =
-  let prometheus_arg =
-    Arg.(value & flag
-         & info [ "prometheus" ]
-           ~doc:
-             "Print the Prometheus text exposition instead of the \
-              JSON snapshot")
-  in
-  Cmd.v
-    (Cmd.info "metrics"
-       ~doc:
-         "Dump a running daemon's aggregated metrics registry — its \
-          own request accounting merged with every engine counter its \
-          fleet workers have reported")
-    Term.(const run_metrics $ socket_arg $ prometheus_arg)
-
 let profile_cmd =
   let path_arg =
     Arg.(required & pos 0 (some string) None
@@ -885,19 +618,6 @@ let chaos_cmd =
     Arg.(value & flag
          & info [ "v"; "verbose" ] ~doc:"Print every derived fault plan")
   in
-  let serve_arg =
-    Arg.(value & flag
-         & info [ "serve" ]
-           ~doc:
-             "Soak the service plane instead of single cells: run a \
-              live `eval serve` daemon under seeded IPC fault \
-              injection (corrupted/dropped/delayed frames, wedged \
-              workers, client resets), SIGKILL it mid-stream, \
-              warm-restart it from its durable queue journal and \
-              resubmit everything; fails unless every request is \
-              graded exactly once and the merged outcome journal is \
-              byte-identical to a fault-free baseline")
-  in
   let disk_arg =
     Arg.(value & flag
          & info [ "disk" ]
@@ -915,8 +635,8 @@ let chaos_cmd =
     Arg.(value & opt float 0.05
          & info [ "rate" ] ~docv:"P"
            ~doc:
-             "With --serve/--disk: per-opportunity fault probability \
-              for each armed fault class")
+             "With --disk: per-opportunity fault probability for each \
+              armed disk fault")
   in
   let workers_arg =
     Arg.(value & opt int 2
@@ -931,13 +651,11 @@ let chaos_cmd =
          "Seeded fault-injection soak: run supervised cells under \
           deterministically derived fault plans and verify every \
           injected fault is contained to its cell (exit 1 otherwise). \
-          With --serve, soak the whole service plane — daemon, durable \
-          queue, IPC, client — under seeded faults and a mid-stream \
-          daemon kill. With --disk, soak the storage layer: journaled \
+          With --disk, soak the storage layer: journaled \
           runs under injected disk faults must recover byte-identical \
           via fsck --repair + resume.")
     Term.(const run_chaos $ no_incremental_arg $ seed_arg $ plans_arg
-          $ serve_arg $ disk_arg $ rate_arg $ workers_arg $ tools_arg
+          $ disk_arg $ rate_arg $ workers_arg $ tools_arg
           $ bombs_arg $ verbose_arg)
 
 let table1_cmd =
@@ -1080,6 +798,5 @@ let () =
   exit (Cmd.eval (Cmd.group ~default:explain_term info
                     [ table1_cmd; table2_cmd; resume_cmd; fig3_cmd;
                       sizes_cmd; negative_cmd; validate_trace_cmd;
-                      chaos_cmd; debug_cmd; serve_cmd; submit_cmd;
-                      drain_cmd; health_cmd; metrics_cmd; profile_cmd;
-                      fsck_cmd; all_cmd ]))
+                      chaos_cmd; debug_cmd; profile_cmd; fsck_cmd;
+                      all_cmd ]))

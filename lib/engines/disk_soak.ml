@@ -1,6 +1,5 @@
-(** [eval chaos --disk]: a seeded storage-fault soak, one layer below
-    {!Serve_soak}'s IPC chaos — the faults live under the bytes of
-    the artifacts themselves.
+(** [eval chaos --disk]: a seeded storage-fault soak — the faults
+    live under the bytes of the artifacts themselves.
 
     + Baseline: a fault-free journaled sequential run of a small
       (tool × bomb) grid — its rendered table and journal bytes are

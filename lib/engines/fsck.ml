@@ -1,6 +1,6 @@
 (** [eval fsck]: format-detecting verify/repair over every durable
-    artifact the system writes — cell/queue journals, BTRC trace
-    stores, span shards and profile sidecars.
+    artifact the system writes — cell journals, BTRC trace stores,
+    span shards and profile sidecars.
 
     Verification is structural, not configuration-bound: a journal
     line is sound when its FNV-1a checksum covers its body and the

@@ -157,8 +157,7 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
         Journal_codec.encode_outcome o
   in
   let config =
-    { Fleet.Pool.default_config with
-      workers;
+    { Fleet.Pool.workers;
       respawns = max 1 pol.retries;
       task_timeout;
       snapshots;
@@ -213,10 +212,9 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
           let lanes =
             String.concat " "
               (List.map
-                 (fun (slot, alive, quarantined, task) ->
+                 (fun (slot, alive, task) ->
                     Printf.sprintf "w%d:%s" slot
-                      (if quarantined then "quar"
-                       else if not alive then "dead"
+                      (if not alive then "dead"
                        else Option.value ~default:"-" task))
                  (Fleet.Pool.worker_states pool))
           in

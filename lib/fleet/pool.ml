@@ -7,7 +7,11 @@
     worker stuck on a heavy cell never strands queued work behind it).
     Workers are forked up front and inherit the task-runner closure,
     so only task {e strings} and result {e payloads} cross the pipes,
-    line-framed.
+    one line per frame: the master dispatches [T <id> <attempt>
+    <key>\t<task>], a worker answers [D <id> <payload>] or, when the
+    runner raised, [X <id> <msg>].  Local pipes need no checksums; a
+    line the master cannot parse from a busy worker still gets that
+    worker killed and its task re-dispatched.
 
     Durability: with {!config.journal} set, each worker appends every
     completed (key, payload) to its own write-ahead journal
@@ -16,15 +20,14 @@
     crash loses no finished cell; {!Merge} folds the per-worker
     journals back into one canonical journal.
 
-    Liveness: every worker message doubles as a heartbeat.  A worker
-    that dies (EOF on its pipe) or blows the per-task wall watchdog is
-    reaped and respawned into the same slot, and its in-flight task is
-    re-dispatched — with the attempt number bumped so the caller's
-    retry/backoff policy can escalate — up to [respawns] extra times
-    before the task is failed.  Cancellation is cooperative: SIGINT
-    (via {!install_sigint}) or {!cancel} stops dispatch, lets
-    in-flight cells finish, and reports still-queued tasks as
-    [Cancelled]. *)
+    Liveness: a worker that dies (EOF on its pipe) or blows the
+    per-task wall watchdog is reaped and respawned into the same slot,
+    and its in-flight task is re-dispatched — with the attempt number
+    bumped so the caller's retry/backoff policy can escalate — up to
+    [respawns] extra times before the task is failed.  Cancellation
+    is cooperative: SIGINT (via {!install_sigint}) or {!cancel} stops
+    dispatch, lets in-flight cells finish, and reports still-queued
+    tasks as [Cancelled]. *)
 
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
@@ -39,10 +42,7 @@ let m_redispatched = Telemetry.Metrics.counter "fleet.redispatched"
 let m_failed = Telemetry.Metrics.counter "fleet.tasks_failed"
 let m_cancelled = Telemetry.Metrics.counter "fleet.tasks_cancelled"
 let m_timeouts = Telemetry.Metrics.counter "fleet.watchdog_kills"
-let m_nacked = Telemetry.Metrics.counter "fleet.frames_nacked"
 let m_bad_frames = Telemetry.Metrics.counter "fleet.frames_corrupt"
-let m_expired = Telemetry.Metrics.counter "fleet.tasks_expired"
-let m_quarantined = Telemetry.Metrics.counter "fleet.slots_quarantined"
 
 (* ------------------------------------------------------------------ *)
 (* Types                                                               *)
@@ -62,9 +62,6 @@ type config = {
       (** wall seconds a dispatched task may run before its worker is
           killed and the task re-dispatched (liveness watchdog) *)
   journal : journal_config option;
-  at_fork : (unit -> unit) option;
-      (** run in the child right after [fork] — lets an embedding
-          daemon close its listening/client sockets in workers *)
   snapshots : bool;
       (** workers piggyback a registry-delta snapshot (relative to the
           registry they inherited at fork) on every reply and
@@ -77,36 +74,21 @@ type config = {
           with span tracing enabled and append finished spans to
           [<base>.spans.w<slot>.jsonl] after every task
           (see {!Spans}) *)
-  breaker : int option;
-      (** circuit breaker: a slot whose worker dies this many times in
-          a row (without one verified reply in between) is quarantined
-          — no further respawns — instead of burning respawn cycles on
-          a poisoned environment forever *)
-  chaos : Robust.Chaos.fleet_state option;
-      (** seeded IPC fault injection (master side): corrupt dispatch
-          and reply frames, drop or delay replies, wedge workers past
-          the watchdog.  [None] (the default) costs nothing. *)
 }
 
 let default_config =
   { workers = 2; respawns = 1; task_timeout = None; journal = None;
-    at_fork = None; snapshots = false; spans = None; breaker = None;
-    chaos = None }
+    snapshots = false; spans = None }
 
 type failure =
   | Worker_lost of int  (** workers died running it; the attempt count *)
   | Run_raised of string  (** the runner raised (worker survived) *)
   | Cancelled  (** still queued when the pool was cancelled *)
-  | Expired  (** its deadline passed while it sat in the queue *)
-  | Quarantined
-      (** every worker slot is circuit-broken; the task can never run *)
 
 let failure_to_string = function
   | Worker_lost n -> Printf.sprintf "worker lost (%d attempts)" n
   | Run_raised msg -> "runner raised: " ^ msg
   | Cancelled -> "cancelled"
-  | Expired -> "deadline expired before execution"
-  | Quarantined -> "all worker slots quarantined"
 
 type result = {
   r_key : string;
@@ -120,7 +102,6 @@ type job = {
   j_key : string;
   j_task : string;
   j_submitted : float;
-  j_deadline : float option;  (** absolute; checked at dispatch time *)
   mutable j_attempt : int;
 }
 
@@ -134,18 +115,12 @@ type worker = {
   mutable rbuf : Buffer.t;
   mutable state : wstate;
   mutable w_alive : bool;
-  mutable last_seen : float;
   mutable w_snap : Telemetry.Snapshot.t;
       (** the live incarnation's latest cumulative delta (replaced on
           every "S" line, so a lost line heals at the next one) *)
   mutable w_dead_snap : Telemetry.Snapshot.t;
       (** accumulated last snapshots of this slot's dead incarnations
           — what survives a SIGKILL *)
-  mutable deaths : int;
-      (** consecutive deaths without a verified reply in between —
-          the circuit breaker's streak counter, deliberately carried
-          across respawns *)
-  mutable quarantined : bool;  (** circuit-broken: never respawned *)
 }
 
 type t = {
@@ -159,10 +134,6 @@ type t = {
   mutable pool_cancelled : bool;
   mutable closed : bool;
   mutable published : bool;  (** {!publish_metrics} ran (idempotence) *)
-  mutable at_fork_extra : (unit -> unit) option;
-      (** set after creation by an embedding daemon (see
-          {!set_at_fork}): run in respawned workers so they drop
-          inherited listener/client sockets *)
 }
 
 let now () = Unix.gettimeofday ()
@@ -257,61 +228,43 @@ let worker_loop ~(cfg : config) ~slot ~run rd wr : 'a =
     | exception End_of_file -> quit 0
     | "Q" -> quit 0
     | line -> (
-        (* "T <id> <attempt> <stall_ms> <chk> <key>\t<task>" where
-           [chk] is the FNV-1a checksum of "<key>\t<task>" — a frame
-           damaged in transit is detected here and nacked instead of
-           silently running (or grading) garbage *)
+        (* "T <id> <attempt> <key>\t<task>" *)
         match String.split_on_char ' ' line with
-        | "T" :: id :: attempt :: stall :: chk :: rest ->
+        | "T" :: id :: attempt :: rest ->
             let id = int_of_string id and attempt = int_of_string attempt in
-            let stall_ms = int_of_string stall in
             let body = String.concat " " rest in
-            if not (String.equal chk (Robust.Journal.fnv64_hex body)) then begin
-              (* damaged dispatch frame: refuse it by id; the master
-                 re-sends without charging the task an attempt *)
-              send "N %d" id;
-              loop ()
-            end
-            else begin
-              (* chaos stall directive: wedge here, before running, so
-                 the master's wall watchdog sees a hung worker *)
-              if stall_ms > 0 then
-                ignore (Unix.select [] [] [] (float_of_int stall_ms /. 1e3));
-              let key, task =
-                match String.index_opt body '\t' with
-                | Some i ->
-                    ( String.sub body 0 i,
-                      String.sub body (i + 1) (String.length body - i - 1) )
-                | None -> (body, body)
-              in
-              (match run ~attempt ~key task with
-               | payload ->
-                   check_frame "payload" payload;
-                   (match journal_writer () with
-                    | Some w -> Robust.Journal.append w ~key ~payload
-                    | None -> ());
-                   (* per-task observability flush, *before* the reply:
-                      spans to this slot's shard, registry delta on the
-                      pipe — so by the time the master routes this
-                      result, the task's counters are already folded in
-                      (a client seeing "done" can trust [metrics]), and
-                      a later SIGKILL loses at most the killed task's
-                      own work *)
-                   flush_spans ();
-                   send_snapshot ();
-                   send "D %d %s %s" id (Robust.Journal.fnv64_hex payload)
-                     payload
-               | exception e ->
-                   let msg =
-                     String.map
-                       (fun c -> if c = '\n' then ' ' else c)
-                       (Printexc.to_string e)
-                   in
-                   flush_spans ();
-                   send_snapshot ();
-                   send "X %d %s %s" id (Robust.Journal.fnv64_hex msg) msg);
-              loop ()
-            end
+            let key, task =
+              match String.index_opt body '\t' with
+              | Some i ->
+                  ( String.sub body 0 i,
+                    String.sub body (i + 1) (String.length body - i - 1) )
+              | None -> (body, body)
+            in
+            (match run ~attempt ~key task with
+             | payload ->
+                 check_frame "payload" payload;
+                 (match journal_writer () with
+                  | Some w -> Robust.Journal.append w ~key ~payload
+                  | None -> ());
+                 (* per-task observability flush, *before* the reply:
+                    spans to this slot's shard, registry delta on the
+                    pipe — so by the time the master routes this
+                    result, the task's counters are already folded in,
+                    and a later SIGKILL loses at most the killed task's
+                    own work *)
+                 flush_spans ();
+                 send_snapshot ();
+                 send "D %d %s" id payload
+             | exception e ->
+                 let msg =
+                   String.map
+                     (fun c -> if c = '\n' then ' ' else c)
+                     (Printexc.to_string e)
+                 in
+                 flush_spans ();
+                 send_snapshot ();
+                 send "X %d %s" id msg);
+            loop ()
         | _ -> quit 3 (* protocol violation: die loudly *))
   in
   (* whatever happens — a broken pipe racing the master's shutdown, a
@@ -348,8 +301,6 @@ let spawn (t : t) slot =
              (try Unix.close ow.from_w with Unix.Unix_error _ -> ())
            end)
         t.ws;
-      (match t.cfg.at_fork with Some f -> f () | None -> ());
-      (match t.at_fork_extra with Some f -> f () | None -> ());
       worker_loop ~cfg:t.cfg ~slot ~run:t.run c_rd c_wr
   | pid ->
       Unix.close c_rd;
@@ -365,8 +316,7 @@ let spawn (t : t) slot =
       w.w_alive <- true;
       (* a fresh incarnation ships deltas from its own fork baseline;
          the previous incarnation's totals live in [w_dead_snap] *)
-      w.w_snap <- Telemetry.Snapshot.empty;
-      w.last_seen <- now ()
+      w.w_snap <- Telemetry.Snapshot.empty
 
 (* a worker dying between select and write must surface as EPIPE, not
    a fatal SIGPIPE *)
@@ -395,40 +345,34 @@ let create ?(config = default_config) run : t =
         Array.init config.workers (fun slot ->
             { slot; pid = -1; to_w = Unix.stdin; from_w = Unix.stdin;
               rbuf = Buffer.create 256; state = Idle; w_alive = false;
-              last_seen = 0.; w_snap = Telemetry.Snapshot.empty;
-              w_dead_snap = Telemetry.Snapshot.empty; deaths = 0;
-              quarantined = false });
+              w_snap = Telemetry.Snapshot.empty;
+              w_dead_snap = Telemetry.Snapshot.empty });
       queue = Queue.create ();
       inflight = 0;
       next_id = 0;
       done_q = Queue.create ();
       pool_cancelled = false;
       closed = false;
-      published = false;
-      at_fork_extra = None }
+      published = false }
   in
   for slot = 0 to config.workers - 1 do
     spawn t slot
   done;
   t
 
-let submit (t : t) ?deadline ~key ~task () =
+let submit (t : t) ~key ~task () =
   if t.closed then invalid_arg "Fleet.Pool.submit: pool is closed";
   check_key key;
   check_frame "task" task;
   let j =
     { j_id = t.next_id; j_key = key; j_task = task; j_submitted = now ();
-      j_deadline = deadline; j_attempt = 1 }
+      j_attempt = 1 }
   in
   t.next_id <- t.next_id + 1;
   Queue.push j t.queue
 
 let pending t = Queue.length t.queue + t.inflight
-let queued t = Queue.length t.queue
-let inflight t = t.inflight
-let cancelled t = t.pool_cancelled
 let cancel t = t.pool_cancelled <- true
-let set_at_fork t f = t.at_fork_extra <- Some f
 
 (** Install a SIGINT handler that cooperatively cancels the pool;
     returns a function restoring the previous handler. *)
@@ -445,11 +389,9 @@ let complete (t : t) (j : job) payload =
     t.done_q
 
 (* a worker died (EOF / watchdog kill): reap it, settle or re-dispatch
-   its in-flight task, and refill the slot — unless its death streak
-   trips the circuit breaker, in which case the slot is quarantined *)
+   its in-flight task, and refill the slot *)
 let bury (t : t) (w : worker) ~respawn =
   Telemetry.Metrics.incr m_deaths;
-  w.deaths <- w.deaths + 1;
   w.w_alive <- false;
   (* keep what the dead incarnation last reported: its snapshot lines
      are cumulative-since-fork, so the latest one is its whole story *)
@@ -482,78 +424,17 @@ let bury (t : t) (w : worker) ~respawn =
          Queue.push j t.queue
        end);
   w.state <- Idle;
-  if (match t.cfg.breaker with
-      | Some k -> w.deaths >= k
-      | None -> false)
-  then begin
-    if not w.quarantined then begin
-      w.quarantined <- true;
-      Telemetry.Metrics.incr m_quarantined;
-      Telemetry.Log.warnf
-        "fleet: slot %d died %d time(s) in a row; quarantined (no respawn)"
-        w.slot w.deaths
-    end
-  end
-  else if respawn && not t.closed then begin
+  if respawn && not t.closed then begin
     Telemetry.Metrics.incr m_respawns;
     spawn t w.slot
   end
-
-(* ---- chaos: frame corruption at the pipe boundary ---- *)
-
-(* flip one byte — never a framing byte ('\t'/'\n') — to something
-   visibly wrong; the checksum machinery must catch it *)
-let corrupt_at line i =
-  let b = Bytes.of_string line in
-  let i =
-    if i < Bytes.length b && Bytes.get b i <> '\t' && Bytes.get b i <> '\n'
-    then i
-    else i - 1
-  in
-  Bytes.set b i (if Bytes.get b i = '#' then '!' else '#');
-  Bytes.unsafe_to_string b
-
-(* dispatch frames: corrupt the "<key>\t<task>" body region, which is
-   the trailing [body_len + 1] bytes of the line (incl. '\n') *)
-let corrupt_dispatch_frame ~body_len line =
-  corrupt_at line (String.length line - 1 - body_len + (body_len / 2))
-
-(* reply frames ("D <id> <chk> <payload>"): corrupt past the third
-   space, i.e. in the payload *)
-let corrupt_reply_frame line =
-  let n = String.length line in
-  let sp = ref 0 and i = ref 0 in
-  while !sp < 3 && !i < n do
-    if line.[!i] = ' ' then incr sp;
-    incr i
-  done;
-  if !i >= n then line else corrupt_at line (!i + ((n - !i) / 2))
 
 let dispatch_one (t : t) (w : worker) (j : job) =
   w.state <- Busy (j, now ());
   t.inflight <- t.inflight + 1;
   Telemetry.Metrics.incr m_dispatched;
-  (* chaos: a stall directive makes the worker wedge well past the
-     wall watchdog before touching the task — only meaningful when a
-     watchdog exists to catch it *)
-  let stall_ms =
-    match (t.cfg.chaos, t.cfg.task_timeout) with
-    | Some st, Some limit
-      when Robust.Chaos.fleet_fires st Robust.Chaos.Worker_stall ->
-        int_of_float (limit *. 2500.)
-    | _ -> 0
-  in
-  let body = j.j_key ^ "\t" ^ j.j_task in
   let line =
-    Printf.sprintf "T %d %d %d %s %s\n" j.j_id j.j_attempt stall_ms
-      (Robust.Journal.fnv64_hex body) body
-  in
-  let line =
-    match t.cfg.chaos with
-    | Some st when Robust.Chaos.fleet_fires st Robust.Chaos.Corrupt_dispatch
-      ->
-        corrupt_dispatch_frame ~body_len:(String.length body) line
-    | _ -> line
+    Printf.sprintf "T %d %d %s\t%s\n" j.j_id j.j_attempt j.j_key j.j_task
   in
   match write_all w.to_w line with
   | () -> ()
@@ -565,43 +446,18 @@ let dispatch_one (t : t) (w : worker) (j : job) =
       Queue.push j t.queue;
       bury t w ~respawn:true
 
-(* next runnable job, settling queue-expired ones along the way *)
-let rec take_job (t : t) =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some j -> (
-      match j.j_deadline with
-      | Some d when now () > d ->
-          Telemetry.Metrics.incr m_expired;
-          Telemetry.Log.warnf
-            "fleet: task %s expired in queue before dispatch" j.j_key;
-          complete t j (Error Expired);
-          take_job t
-      | _ -> Some j)
-
 let dispatch (t : t) =
   Array.iter
     (fun w ->
        if w.w_alive && w.state = Idle && not t.pool_cancelled then
-         match take_job t with
+         match Queue.take_opt t.queue with
          | Some j -> dispatch_one t w j
          | None -> ())
-    t.ws;
-  (* circuit-broken pool: every slot quarantined with work still
-     queued — it can never run, so fail it now rather than spinning *)
-  if not t.closed && t.inflight = 0
-     && not (Queue.is_empty t.queue)
-     && Array.for_all (fun w -> (not w.w_alive) && w.quarantined) t.ws
-  then
-    while not (Queue.is_empty t.queue) do
-      let j = Queue.pop t.queue in
-      Telemetry.Metrics.incr m_failed;
-      complete t j (Error Quarantined)
-    done
+    t.ws
 
-(* a reply frame that failed its checksum (or is unparseable while a
-   task is in flight): the channel can no longer be trusted — kill the
-   incarnation and let [bury] re-dispatch its task *)
+(* an unparseable line while a task is in flight: the channel can no
+   longer be trusted — kill the incarnation and let [bury] re-dispatch
+   its task *)
 let recover_corrupt_channel (t : t) (w : worker) line =
   Telemetry.Metrics.incr m_bad_frames;
   Telemetry.Log.warnf
@@ -613,7 +469,6 @@ let recover_corrupt_channel (t : t) (w : worker) line =
 
 (* one complete line from worker [w] *)
 let handle_line (t : t) (w : worker) line =
-  w.last_seen <- now ();
   if String.length line >= 2 && line.[0] = 'S' && line.[1] = ' ' then
     (* registry-delta snapshot: cumulative since fork, so we replace
        rather than accumulate — a lost line self-heals at the next *)
@@ -625,93 +480,33 @@ let handle_line (t : t) (w : worker) line =
     | None ->
         Telemetry.Log.warnf
           "fleet: worker %d sent an undecodable snapshot; dropped" w.slot
-  else begin
-    (* chaos: reply frames can be dropped (only under a watchdog that
-       will eventually recover the silence), delayed, or corrupted on
-       the way in *)
-    let is_reply =
-      String.length line >= 2
-      && (line.[0] = 'D' || line.[0] = 'X')
-      && line.[1] = ' '
-    in
-    let line =
-      match t.cfg.chaos with
-      | Some st when is_reply ->
-          if
-            t.cfg.task_timeout <> None
-            && Robust.Chaos.fleet_fires st Robust.Chaos.Drop_reply
-          then begin
+  else
+    match String.split_on_char ' ' line with
+    | "H" :: _ -> () (* hello/heartbeat *)
+    | (("D" | "X") as tag) :: id_s :: rest
+      when Option.is_some (int_of_string_opt id_s) -> (
+        let id = int_of_string id_s and body = String.concat " " rest in
+        match w.state with
+        | Busy (j, _) when j.j_id = id ->
+            w.state <- Idle;
+            t.inflight <- t.inflight - 1;
+            if tag = "D" then begin
+              Telemetry.Metrics.incr m_completed;
+              complete t j (Ok body)
+            end
+            else begin
+              Telemetry.Metrics.incr m_raised;
+              complete t j (Error (Run_raised body))
+            end
+        | _ ->
             Telemetry.Log.warnf
-              "fleet(chaos): dropped a reply frame from worker %d" w.slot;
-            None
-          end
-          else begin
-            if Robust.Chaos.fleet_fires st Robust.Chaos.Delay_reply then
-              ignore (Unix.select [] [] [] 0.02);
-            if Robust.Chaos.fleet_fires st Robust.Chaos.Corrupt_reply then
-              Some (corrupt_reply_frame line)
-            else Some line
-          end
-      | _ -> Some line
-    in
-    match line with
-    | None -> ()
-    | Some line -> (
-        match String.split_on_char ' ' line with
-        | "H" :: _ -> () (* hello/heartbeat *)
-        | "N" :: id_s :: _ -> (
-            (* the worker refused a dispatch frame that failed its
-               checksum: damage in transit, not the task's fault — put
-               it back without charging an attempt *)
-            match (int_of_string_opt id_s, w.state) with
-            | Some id, Busy (j, _) when j.j_id = id ->
-                Telemetry.Metrics.incr m_nacked;
-                Telemetry.Log.warnf
-                  "fleet: worker %d nacked a damaged dispatch frame for %s; \
-                   re-sending"
-                  w.slot j.j_key;
-                w.deaths <- 0;
-                w.state <- Idle;
-                t.inflight <- t.inflight - 1;
-                Queue.push j t.queue
-            | _ ->
-                Telemetry.Log.warnf
-                  "fleet: worker %d nacked an unexpected frame; dropped"
-                  w.slot)
-        | ("D" | "X") :: id_s :: chk :: rest -> (
-            let body = String.concat " " rest in
-            match int_of_string_opt id_s with
-            | Some id
-              when String.equal chk (Robust.Journal.fnv64_hex body) -> (
-                let ok = line.[0] = 'D' in
-                match w.state with
-                | Busy (j, _) when j.j_id = id ->
-                    (* a verified reply proves the slot healthy: reset
-                       the breaker streak *)
-                    w.deaths <- 0;
-                    w.state <- Idle;
-                    t.inflight <- t.inflight - 1;
-                    if ok then begin
-                      Telemetry.Metrics.incr m_completed;
-                      complete t j (Ok body)
-                    end
-                    else begin
-                      Telemetry.Metrics.incr m_raised;
-                      complete t j (Error (Run_raised body))
-                    end
-                | _ ->
-                    Telemetry.Log.warnf
-                      "fleet: worker %d answered for unexpected task %d; \
-                       dropped"
-                      w.slot id)
-            | _ -> recover_corrupt_channel t w line)
-        | _ -> (
-            match w.state with
-            | Busy _ -> recover_corrupt_channel t w line
-            | Idle ->
-                Telemetry.Log.warnf "fleet: worker %d sent garbage %S" w.slot
-                  line))
-  end
+              "fleet: worker %d answered for unexpected task %d; dropped"
+              w.slot id)
+    | _ -> (
+        match w.state with
+        | Busy _ -> recover_corrupt_channel t w line
+        | Idle ->
+            Telemetry.Log.warnf "fleet: worker %d sent garbage %S" w.slot line)
 
 let pump_worker (t : t) (w : worker) =
   let chunk = Bytes.create 65536 in
@@ -756,8 +551,7 @@ let watchdog (t : t) =
            | _ -> ())
         t.ws
 
-(** Readable fds to select on while embedding the pool in a larger
-    event loop (the serve daemon): one per live worker. *)
+(* readable fds to select on: one per live worker *)
 let fds (t : t) =
   Array.to_list t.ws
   |> List.filter_map (fun w -> if w.w_alive then Some w.from_w else None)
@@ -884,22 +678,14 @@ let worker_journal_paths ~path ~workers =
 (* Observability (master side)                                         *)
 (* ------------------------------------------------------------------ *)
 
-let alive_workers (t : t) =
-  Array.fold_left (fun n w -> if w.w_alive then n + 1 else n) 0 t.ws
-
-(** Per-slot status: (slot, alive, quarantined, in-flight task key if
-    busy). *)
-let worker_states (t : t) : (int * bool * bool * string option) list =
+(** Per-slot status: (slot, alive, in-flight task key if busy). *)
+let worker_states (t : t) : (int * bool * string option) list =
   Array.to_list t.ws
   |> List.map (fun w ->
       let task =
         match w.state with Busy (j, _) -> Some j.j_key | Idle -> None
       in
-      (w.slot, w.w_alive, w.quarantined, task))
-
-(** Circuit-broken slot count. *)
-let quarantined_workers (t : t) =
-  Array.fold_left (fun n w -> if w.quarantined then n + 1 else n) 0 t.ws
+      (w.slot, w.w_alive, task))
 
 (** The fleet-wide aggregate of everything workers have reported:
     every slot's live snapshot plus its dead incarnations' — the

@@ -131,123 +131,20 @@ let fires st point =
   end
   else None
 
-(* ------------------------------------------------------------------ *)
-(* Fleet fault class: faults at the IPC boundary                       *)
-(* ------------------------------------------------------------------ *)
-
-(** Fault sites one layer up from {!point}: not inside a cell but on
-    the pipes and sockets that carry cells between processes.  The
-    probe discipline is the same — the fleet master and the serve
-    daemon consult {!fleet_fires} at every dispatch write, reply read
-    and response send, and the seeded state decides which probes turn
-    into faults. *)
-type fleet_point =
-  | Corrupt_dispatch  (** flip a byte in a dispatch frame on the pipe *)
-  | Corrupt_reply  (** flip a byte in a worker reply frame *)
-  | Drop_reply  (** lose a reply frame entirely (worker looks wedged) *)
-  | Delay_reply  (** stall a reply frame briefly before processing *)
-  | Worker_stall  (** wedge the worker past the wall watchdog *)
-  | Client_reset  (** close a served client's connection mid-reply *)
-
-let all_fleet_points =
-  [ Corrupt_dispatch; Corrupt_reply; Drop_reply; Delay_reply; Worker_stall;
-    Client_reset ]
-
-let fleet_point_index = function
-  | Corrupt_dispatch -> 0
-  | Corrupt_reply -> 1
-  | Drop_reply -> 2
-  | Delay_reply -> 3
-  | Worker_stall -> 4
-  | Client_reset -> 5
-
-let fleet_point_name = function
-  | Corrupt_dispatch -> "corrupt_dispatch"
-  | Corrupt_reply -> "corrupt_reply"
-  | Drop_reply -> "drop_reply"
-  | Delay_reply -> "delay_reply"
-  | Worker_stall -> "worker_stall"
-  | Client_reset -> "client_reset"
-
-(** How a {!fleet_state} decides whether a probe fires:
-    - [Arms]: fire at exactly the given hit counts of each point —
-      deterministic placement for unit tests ("corrupt the first
-      reply, nothing else").
-    - [Rate]: per-probe Bernoulli draw at the given rate over the
-      enabled points, from a seed-pure stream — the soak/bench mode,
-      where fault {e placement} may vary with scheduling but the run
-      is still reproducible for a fixed seed and message order. *)
-type fleet_mode =
-  | Arms of (fleet_point * int) list
-  | Rate of { rate : float; points : fleet_point list }
-
-type fleet_state = {
-  fs_mode : fleet_mode;
-  fs_rngs : int64 ref array;
-      (** one independent SplitMix stream per point, so probes of one
-          point never perturb another point's draws *)
-  fs_hits : int array;
-  fs_fired : int array;
-}
-
-let fleet_state ~seed mode =
-  let n = List.length all_fleet_points in
-  { fs_mode = mode;
-    fs_rngs =
-      Array.init n (fun i ->
-          ref (Int64.add seed (Int64.mul 0x9E3779B97F4A7C15L
-                                 (Int64.of_int (i + 1)))));
-    fs_hits = Array.make n 0;
-    fs_fired = Array.make n 0 }
-
-let m_fleet_injected =
-  List.map
-    (fun p ->
-       ( fleet_point_index p,
-         Telemetry.Metrics.counter
-           ("robust.fleet_injected." ^ fleet_point_name p) ))
-    all_fleet_points
-
-(* a 53-bit uniform draw in [0,1) from the point's own stream *)
+(* a 53-bit uniform draw in [0,1) from a point's own stream *)
 let uniform (rng : int64 ref) =
   Int64.to_float (Int64.logand (mix rng) 0x1FFFFFFFFFFFFFL)
   /. 9007199254740992.0
-
-(** [fleet_fires st point] counts one probe hit of [point] and reports
-    whether the fault fires there. *)
-let fleet_fires st point =
-  let i = fleet_point_index point in
-  st.fs_hits.(i) <- st.fs_hits.(i) + 1;
-  let fire =
-    match st.fs_mode with
-    | Arms arms -> List.mem (point, st.fs_hits.(i)) arms
-    | Rate { rate; points } ->
-        rate > 0. && List.mem point points && uniform st.fs_rngs.(i) < rate
-  in
-  if fire then begin
-    st.fs_fired.(i) <- st.fs_fired.(i) + 1;
-    Telemetry.Metrics.incr (List.assoc i m_fleet_injected)
-  end;
-  fire
-
-(** Per-point fired counts so far (non-zero entries only). *)
-let fleet_fired st =
-  List.filter_map
-    (fun p ->
-       let n = st.fs_fired.(fleet_point_index p) in
-       if n > 0 then Some (p, n) else None)
-    all_fleet_points
 
 (* ------------------------------------------------------------------ *)
 (* Disk fault class: faults under the durable-IO layer                 *)
 (* ------------------------------------------------------------------ *)
 
-(** The storage fault class, one layer below {!fleet_point}: not the
-    pipes between processes but the bytes under the journals, stores
-    and shards.  {!Diskio} consults an installed hook at every
-    append, sync and rename; this state turns those probes into
-    seeded faults with the same [Arms]/[Rate] discipline as the
-    fleet class.  Constructors are {!Diskio.fault}'s, re-exported. *)
+(** The storage fault class: not faults inside a cell but in the
+    bytes under the journals, stores and shards.  {!Diskio} consults
+    an installed hook at every append, sync and rename; this state
+    turns those probes into seeded faults.  Constructors are
+    {!Diskio.fault}'s, re-exported. *)
 type disk_point = Diskio.fault =
   | Enospc  (** the append raises {!Diskio.Full}; nothing lands *)
   | Short_write  (** a prefix lands (torn tail), then {!Diskio.Full} *)
@@ -275,9 +172,11 @@ let disk_point_of_name = function
   | "torn_fsync" -> Some Torn_fsync
   | _ -> None
 
-(** Same two firing disciplines as {!fleet_mode}: [Disk_arms] places
-    faults at exact probe hits (unit tests), [Disk_rate] draws each
-    probe Bernoulli from a seed-pure per-point stream (soak/bench). *)
+(** How a {!disk_state} decides whether a probe fires: [Disk_arms]
+    places faults at exact probe hits (deterministic placement for
+    unit tests), [Disk_rate] draws each probe Bernoulli from a
+    seed-pure per-point stream (the soak mode, reproducible for a
+    fixed seed and operation order). *)
 type disk_mode =
   | Disk_arms of (disk_point * int) list
   | Disk_rate of { rate : float; points : disk_point list }
@@ -285,6 +184,8 @@ type disk_mode =
 type disk_state = {
   ds_mode : disk_mode;
   ds_rngs : int64 ref array;
+      (** one independent SplitMix stream per point, so probes of one
+          point never perturb another point's draws *)
   ds_hits : int array;
   ds_fired : int array;
 }

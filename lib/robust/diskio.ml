@@ -55,8 +55,8 @@ let fnv64_hex s = Printf.sprintf "%016Lx" (fnv64 s)
 
 (** The disk fault class.  Constructors are re-exported (and seeded)
     by [Chaos.disk_point]; metric accounting lives with the chaos
-    state so [robust.disk_injected.*] mirrors the compute and fleet
-    fault classes. *)
+    state so [robust.disk_injected.*] mirrors the compute fault
+    class's [robust.injected.*]. *)
 type fault = Enospc | Short_write | Failed_rename | Bit_flip | Torn_fsync
 
 let fault_name = function

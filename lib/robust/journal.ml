@@ -266,11 +266,8 @@ let peek_fingerprint path : string option =
 (** Load every record of [path] that matches [fingerprint].  A missing
     file is an empty journal.  Damaged or stale lines are skipped with
     a {!Telemetry.Log} warning and counted — in the result and in the
-    [journal.*] metrics.  [dedup:false] keeps every valid record in
-    file order instead of collapsing to last-wins per key — for
-    callers auditing the full append history (the exactly-once soak
-    check). *)
-let load ?(dedup = true) ~fingerprint path : load_result =
+    [journal.*] metrics. *)
+let load ~fingerprint path : load_result =
   if not (Sys.file_exists path) then empty_load
   else begin
     let raw = Diskio.read_all path in
@@ -336,19 +333,16 @@ let load ?(dedup = true) ~fingerprint path : load_result =
     end;
     (* last-wins per key: a resumed run may have re-executed a cell *)
     let entries =
-      if not dedup then List.rev !acc.entries
-      else begin
-        let seen = Hashtbl.create 64 in
-        List.rev
-          (List.filter
-             (fun (e : entry) ->
-                if Hashtbl.mem seen e.key then false
-                else begin
-                  Hashtbl.replace seen e.key ();
-                  true
-                end)
-             !acc.entries (* newest first *))
-      end
+      let seen = Hashtbl.create 64 in
+      List.rev
+        (List.filter
+           (fun (e : entry) ->
+              if Hashtbl.mem seen e.key then false
+              else begin
+                Hashtbl.replace seen e.key ();
+                true
+              end)
+           !acc.entries (* newest first *))
     in
     { !acc with entries }
   end

@@ -108,33 +108,6 @@ let observe h v =
   h.h_sum <- h.h_sum + v;
   if v > h.h_max then h.h_max <- v
 
-(** Approximate quantile from the log2 buckets: the upper bound of the
-    first bucket at which the cumulative count reaches [q] of the
-    total, clamped to the observed max so a lone outlier in a wide
-    bucket cannot inflate the answer past anything actually seen.
-    [0] when the histogram is empty. *)
-let quantile (h : histogram) q =
-  if h.h_count = 0 then 0
-  else begin
-    let target =
-      max 1
-        (min h.h_count (int_of_float (ceil (q *. float_of_int h.h_count))))
-    in
-    let res = ref h.h_max in
-    let cum = ref 0 in
-    (try
-       for i = 0 to num_buckets - 1 do
-         cum := !cum + h.h_buckets.(i);
-         if !cum >= target then begin
-           let _, hi = bucket_range i in
-           res := (if hi > h.h_max then h.h_max else hi);
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !res
-  end
-
 (* ------------------------------------------------------------------ *)
 (* Reading the registry                                                *)
 (* ------------------------------------------------------------------ *)

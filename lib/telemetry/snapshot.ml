@@ -285,48 +285,3 @@ let of_json line : t option =
                        histograms) }
           else None)
       | _ -> None)
-
-(* ------------------------------------------------------------------ *)
-(* Prometheus-style text exposition                                    *)
-(* ------------------------------------------------------------------ *)
-
-let prom_name name =
-  String.map
-    (fun c ->
-       match c with
-       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | ':' -> c
-       | _ -> '_')
-    name
-
-(** Prometheus text format: counters and gauges as single samples,
-    histograms as cumulative [_bucket{le=…}] series plus [_sum] and
-    [_count].  Dotted registry names flatten to underscores. *)
-let to_prometheus t =
-  let buf = Buffer.create 1024 in
-  let pr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  List.iter
-    (fun (name, v) ->
-       let n = prom_name name in
-       pr "# TYPE %s counter\n%s %d\n" n n v)
-    t.counters;
-  List.iter
-    (fun (name, v) ->
-       let n = prom_name name in
-       pr "# TYPE %s gauge\n%s %g\n" n n v)
-    t.gauges;
-  List.iter
-    (fun (name, h) ->
-       let n = prom_name name in
-       pr "# TYPE %s histogram\n" n;
-       let cum = ref 0 in
-       List.iter
-         (fun (i, c) ->
-            cum := !cum + c;
-            let _, hi = Metrics.bucket_range i in
-            pr "%s_bucket{le=\"%d\"} %d\n" n hi !cum)
-         h.hs_buckets;
-       pr "%s_bucket{le=\"+Inf\"} %d\n" n h.hs_count;
-       pr "%s_sum %d\n" n h.hs_sum;
-       pr "%s_count %d\n" n h.hs_count)
-    t.histograms;
-  Buffer.contents buf

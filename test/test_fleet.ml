@@ -4,8 +4,7 @@
     cooperative cancellation), journal-shard merging (canonical
     byte-identity, torn-tail healing, orphan keys), fleet-vs-sequential
     Table II determinism across 1/2/4 workers (table and journal both
-    byte-identical, replayable by the sequential resume path), and the
-    [eval serve] daemon round trip over a temp socket. *)
+    byte-identical, replayable by the sequential resume path). *)
 
 open Concolic.Error
 
@@ -28,9 +27,10 @@ let pool_echo_many () =
         fun task -> key ^ "=" ^ task)
   in
   let n = 200 in
+  (* tasks carry spaces, so the pipe frames split on them mid-body *)
   for i = 0 to n - 1 do
     Fleet.Pool.submit t ~key:(Printf.sprintf "k%d" i)
-      ~task:(Printf.sprintf "t%d" i) ()
+      ~task:(Printf.sprintf "t%d a b" i) ()
   done;
   Alcotest.(check int) "all queued or running" n (Fleet.Pool.pending t);
   let results = Fleet.Pool.drain t in
@@ -43,7 +43,7 @@ let pool_echo_many () =
         | Ok p ->
             let i = String.sub r.r_key 1 (String.length r.r_key - 1) in
             Alcotest.(check string) "payload routed to its key"
-              (Printf.sprintf "k%s=t%s" i i) p
+              (Printf.sprintf "k%s=t%s a b" i i) p
         | Error f -> Alcotest.failf "task %s failed: %s" r.r_key
                        (Fleet.Pool.failure_to_string f));
        Alcotest.(check bool) "latency stamps ordered" true
@@ -53,7 +53,8 @@ let pool_echo_many () =
 let pool_runner_raise_contained () =
   let t =
     Fleet.Pool.create ~config:(echo_config 2) (fun ~attempt:_ ~key ->
-        fun task -> if key = "bad" then failwith "boom" else task)
+        fun task ->
+          if key = "bad" then failwith "boom: the runner gave up" else task)
   in
   Fleet.Pool.submit t ~key:"a" ~task:"1" ();
   Fleet.Pool.submit t ~key:"bad" ~task:"2" ();
@@ -69,8 +70,8 @@ let pool_runner_raise_contained () =
     (find "b" = Ok "3");
   match find "bad" with
   | Error (Fleet.Pool.Run_raised msg) ->
-      Alcotest.(check bool) "exception text surfaced" true
-        (String.length msg > 0)
+      Alcotest.(check string) "exception text surfaced unchanged"
+        (Printexc.to_string (Failure "boom: the runner gave up")) msg
   | _ -> Alcotest.fail "raising runner must report Run_raised"
 
 (* kill a worker mid-cell: the pool reaps it, respawns the slot and
@@ -347,285 +348,6 @@ let fleet_recovers_worker_shard () =
     (Sys.file_exists (path ^ ".w3"));
   Sys.remove path
 
-(* ---------------- the serve daemon ---------------- *)
-
-let temp_socket () =
-  let p = Filename.temp_file "fleet_srv" ".sock" in
-  Sys.remove p;
-  p
-
-let stale_socket_detected () =
-  let path = temp_socket () in
-  (* a plain file where the socket should be: stale, not EADDRINUSE *)
-  let oc = open_out path in
-  close_out oc;
-  (match Fleet.Serve.check_socket path with
-   | exception Fleet.Serve.Stale_socket p ->
-       Alcotest.(check string) "names the path" path p
-   | _ -> Alcotest.fail "existing dead socket file must raise Stale_socket");
-  Sys.remove path;
-  (* a live listener: refused as in-use *)
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 1;
-  (match Fleet.Serve.check_socket path with
-   | exception Fleet.Serve.Socket_in_use p ->
-       Alcotest.(check string) "names the path" path p
-   | _ -> Alcotest.fail "live socket must raise Socket_in_use");
-  Unix.close fd;
-  Sys.remove path;
-  (* absent path: nothing to refuse *)
-  Fleet.Serve.check_socket path
-
-let serve_round_trip () =
-  let socket = temp_socket () in
-  let pid =
-    match Unix.fork () with
-    | 0 -> (
-        try
-          Engines.Service.serve ~workers:2 ~socket ();
-          Unix._exit 0
-        with _ -> Unix._exit 1)
-    | pid -> pid
-  in
-  Fun.protect
-    ~finally:(fun () ->
-      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-      (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ());
-      if Sys.file_exists socket then Sys.remove socket)
-  @@ fun () ->
-  (* wait for the daemon to come up *)
-  let rec await tries =
-    if tries = 0 then Alcotest.fail "daemon never answered a ping"
-    else
-      match Engines.Service.ping ~socket () with
-      | Some _ -> ()
-      | None ->
-          ignore (Unix.select [] [] [] 0.05);
-          await (tries - 1)
-  in
-  await 400;
-  let cells =
-    [ (Engines.Profile.Bap, "time_bomb");
-      (Engines.Profile.Triton, "stack_bomb");
-      (Engines.Profile.Bap, "argvlen_bomb") ]
-  in
-  let requests =
-    List.map
-      (fun (tool, bomb) ->
-         Engines.Service.encode_request
-           ~id:(Engines.Profile.name tool ^ "/" ^ bomb)
-           ~tool ~bomb ())
-      cells
-  in
-  let lines = ref [] in
-  let failures =
-    Engines.Service.submit ~socket
-      ~on_line:(fun l -> lines := l :: !lines)
-      requests
-  in
-  Alcotest.(check int) "no request failed" 0 failures;
-  let lines = List.rev !lines in
-  let queued, finals =
-    List.partition
-      (fun l -> Engines.Service.status_of_line l = Some "queued")
-      lines
-  in
-  Alcotest.(check int) "every request acked as queued" 3
-    (List.length queued);
-  Alcotest.(check int) "every request answered" 3 (List.length finals);
-  (* each streamed outcome must match a direct supervised run *)
-  let open Telemetry.Trace_check in
-  List.iter
-    (fun (tool, bomb_name) ->
-       let id = Engines.Profile.name tool ^ "/" ^ bomb_name in
-       let line =
-         List.find
-           (fun l ->
-              match Option.bind (parse_opt l) (member "id") with
-              | Some (Str s) -> s = id
-              | _ -> false)
-           finals
-       in
-       let j = Option.get (parse_opt line) in
-       let direct =
-         Engines.Supervisor.run_cell tool (Bombs.Catalog.find bomb_name)
-       in
-       (match Option.bind (member "outcome" j)
-                Engines.Journal_codec.decode_outcome
-        with
-        | Some streamed ->
-            Alcotest.(check bool)
-              (id ^ ": streamed outcome = direct supervised run") true
-              (streamed = direct)
-        | None -> Alcotest.failf "%s: outcome does not decode: %s" id line);
-       match member "key" j with
-       | Some (Str k) -> Alcotest.(check string) "key attribution" id k
-       | _ -> Alcotest.failf "%s: response has no key" id)
-    cells;
-  (* drain: the daemon finishes, removes its socket and exits 0 *)
-  let drain_lines = ref [] in
-  Engines.Service.drain ~socket
-    ~on_line:(fun l -> drain_lines := l :: !drain_lines)
-    ();
-  Alcotest.(check bool) "drain acknowledged" true
-    (List.exists
-       (fun l -> Engines.Service.status_of_line l = Some "drained")
-       !drain_lines);
-  (match Unix.waitpid [] pid with
-   | _, Unix.WEXITED 0 -> ()
-   | _, st ->
-       Alcotest.failf "daemon exit: %s"
-         (match st with
-          | Unix.WEXITED n -> Printf.sprintf "exit %d" n
-          | Unix.WSIGNALED n -> Printf.sprintf "signal %d" n
-          | Unix.WSTOPPED n -> Printf.sprintf "stopped %d" n));
-  Alcotest.(check bool) "socket removed on shutdown" false
-    (Sys.file_exists socket)
-
-(* ---------------- IPC chaos (deterministic arms) ---------------- *)
-
-(* one-shot armed fault at hit #1 of [point]; the pool must absorb it
-   and still grade the task correctly *)
-let chaos_pool ?(workers = 1) ?(respawns = 2) ?task_timeout arms runner =
-  Fleet.Pool.create
-    ~config:
-      { Fleet.Pool.default_config with
-        workers; respawns; task_timeout;
-        chaos =
-          Some (Robust.Chaos.fleet_state ~seed:7L (Robust.Chaos.Arms arms)) }
-    runner
-
-let one_ok results =
-  match results with
-  | [ ({ r_payload = Ok p; _ } : Fleet.Pool.result) ] -> p
-  | [ { r_payload = Error f; _ } ] ->
-      Alcotest.failf "task must survive the fault, got %s"
-        (Fleet.Pool.failure_to_string f)
-  | rs -> Alcotest.failf "expected one result, got %d" (List.length rs)
-
-let chaos_corrupt_reply_recovers () =
-  let bad0 = counter "fleet.frames_corrupt" in
-  let t =
-    chaos_pool [ (Robust.Chaos.Corrupt_reply, 1) ]
-      (fun ~attempt:_ ~key:_ -> fun task -> task ^ "!")
-  in
-  Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  Alcotest.(check string) "re-dispatch grades the same" "v!"
-    (one_ok results);
-  Alcotest.(check bool) "corrupt frame detected and counted" true
-    (counter "fleet.frames_corrupt" > bad0)
-
-let chaos_corrupt_dispatch_nacked () =
-  let nack0 = counter "fleet.frames_nacked" in
-  let kill0 = counter "fleet.worker_deaths" in
-  let t =
-    chaos_pool [ (Robust.Chaos.Corrupt_dispatch, 1) ]
-      (fun ~attempt ~key:_ ->
-        fun task -> Printf.sprintf "%s@%d" task attempt)
-  in
-  Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  (* the worker detects the damaged frame, nacks, and the re-send does
-     not charge an attempt — the run still sees attempt 1 *)
-  Alcotest.(check string) "re-sent frame runs as attempt 1" "v@1"
-    (one_ok results);
-  Alcotest.(check bool) "nack counted" true
-    (counter "fleet.frames_nacked" > nack0);
-  Alcotest.(check int) "no worker died for a bad dispatch frame" kill0
-    (counter "fleet.worker_deaths")
-
-let chaos_drop_reply_watchdog_recovers () =
-  let t =
-    chaos_pool ~task_timeout:0.3
-      [ (Robust.Chaos.Drop_reply, 1) ]
-      (fun ~attempt ~key:_ ->
-        fun task -> Printf.sprintf "%s@%d" task attempt)
-  in
-  Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  (* the dropped reply looks like a hang; the watchdog reclaims the
-     slot and the re-dispatch (attempt 2) answers *)
-  Alcotest.(check string) "watchdog re-dispatch answers" "v@2"
-    (one_ok results)
-
-let chaos_worker_stall_watchdog_recovers () =
-  let kills0 = counter "fleet.watchdog_kills" in
-  let t =
-    chaos_pool ~task_timeout:0.3
-      [ (Robust.Chaos.Worker_stall, 1) ]
-      (fun ~attempt ~key:_ ->
-        fun task -> Printf.sprintf "%s@%d" task attempt)
-  in
-  Fleet.Pool.submit t ~key:"k" ~task:"v" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  Alcotest.(check string) "stalled worker killed, re-dispatch answers"
-    "v@2" (one_ok results);
-  Alcotest.(check bool) "watchdog fired on the stall" true
-    (counter "fleet.watchdog_kills" > kills0)
-
-(* ---------------- circuit breaker / deadlines ---------------- *)
-
-let breaker_quarantines_dying_slots () =
-  let t =
-    Fleet.Pool.create
-      ~config:
-        { Fleet.Pool.default_config with
-          workers = 2; respawns = 10; breaker = Some 2 }
-      (fun ~attempt:_ ~key:_ -> fun _task -> Unix._exit 9)
-  in
-  for i = 0 to 5 do
-    Fleet.Pool.submit t ~key:(Printf.sprintf "d%d" i) ~task:"x" ()
-  done;
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  Alcotest.(check int) "every task settled" 6 (List.length results);
-  (* two consecutive deaths trip the breaker before the 10-respawn
-     budget is anywhere near spent; once every slot is quarantined the
-     rest of the queue fails fast instead of deadlocking *)
-  Alcotest.(check int) "both slots quarantined" 2
-    (Fleet.Pool.quarantined_workers t);
-  List.iter
-    (fun (r : Fleet.Pool.result) ->
-       match r.r_payload with
-       | Error (Fleet.Pool.Worker_lost _ | Fleet.Pool.Quarantined) -> ()
-       | Error f ->
-           Alcotest.failf "%s: unexpected failure %s" r.r_key
-             (Fleet.Pool.failure_to_string f)
-       | Ok _ -> Alcotest.failf "%s cannot succeed" r.r_key)
-    results
-
-let deadline_expires_in_queue () =
-  let exp0 = counter "fleet.tasks_expired" in
-  let t =
-    Fleet.Pool.create ~config:(echo_config 1) (fun ~attempt:_ ~key:_ ->
-        fun task -> ignore (Unix.select [] [] [] 0.3); task)
-  in
-  Fleet.Pool.submit t ~key:"head" ~task:"a" ();
-  Fleet.Pool.submit t
-    ~deadline:(Unix.gettimeofday () +. 0.05)
-    ~key:"late" ~task:"b" ();
-  let results = Fleet.Pool.drain t in
-  Fleet.Pool.shutdown t;
-  let find k =
-    (List.find (fun (r : Fleet.Pool.result) -> r.r_key = k) results)
-      .r_payload
-  in
-  Alcotest.(check bool) "head task unaffected" true (find "head" = Ok "a");
-  (match find "late" with
-   | Error Fleet.Pool.Expired -> ()
-   | Error f ->
-       Alcotest.failf "late: expected Expired, got %s"
-         (Fleet.Pool.failure_to_string f)
-   | Ok _ -> Alcotest.fail "a queue-expired task cannot run");
-  Alcotest.(check bool) "expiry counted" true
-    (counter "fleet.tasks_expired" > exp0)
-
 (* ---------------- merge: multi-shard last-wins / all-orphan -------- *)
 
 let merge_same_key_multi_shard () =
@@ -705,133 +427,6 @@ let journal_peek_fingerprint () =
     (Robust.Journal.peek_fingerprint path);
   Sys.remove path
 
-(* ---------------- durable serve queue ---------------- *)
-
-let serve_queue_mismatch_refused () =
-  let socket = temp_socket () in
-  let path = Filename.temp_file "fleet_queue" ".jsonl" in
-  Sys.remove path;
-  let w = Robust.Journal.open_writer ~fingerprint:"other-config" path in
-  Robust.Journal.append w ~key:"k"
-    ~payload:"{\"phase\":\"acc\",\"req\":\"{}\"}";
-  Robust.Journal.close_writer w;
-  let cfg which force =
-    { (Fleet.Serve.default_config ~socket) with
-      queue_journal = Some path; run_fingerprint = which; force }
-  in
-  (match Fleet.Serve.load_queue_journal (cfg "this-config" false) with
-   | exception Fleet.Serve.Journal_mismatch { path = p; found; expected } ->
-       Alcotest.(check string) "names the journal" path p;
-       Alcotest.(check string) "found fingerprint" "other-config" found;
-       Alcotest.(check string) "expected fingerprint" "this-config" expected
-   | _ ->
-       Alcotest.fail
-         "a queue journal from another configuration must be refused");
-  (* --force reopens it; the incompatible records are just skipped *)
-  (match Fleet.Serve.load_queue_journal (cfg "this-config" true) with
-   | Some w, dones, accs ->
-       Robust.Journal.close_writer w;
-       Alcotest.(check int) "no done replays cross the fingerprint" 0
-         (List.length dones);
-       Alcotest.(check int) "no accepted requests either" 0
-         (List.length accs)
-   | None, _, _ -> Alcotest.fail "--force must still open the journal");
-  Sys.remove path
-
-(* kill the daemon after one graded request, warm-restart it from the
-   queue journal, resubmit under the same idempotency key: the client
-   gets the journaled response byte-for-byte and the journal holds
-   exactly one grading for the key *)
-let serve_durable_exactly_once () =
-  let socket = temp_socket () in
-  let queue = Filename.temp_file "fleet_queue" ".jsonl" in
-  Sys.remove queue;
-  let fork_daemon () =
-    match Unix.fork () with
-    | 0 -> (
-        try
-          Engines.Service.serve ~workers:1 ~queue_journal:queue ~socket ();
-          Unix._exit 0
-        with _ -> Unix._exit 1)
-    | pid -> pid
-  in
-  let await () =
-    let rec go tries =
-      if tries = 0 then Alcotest.fail "daemon never answered a ping"
-      else
-        match Engines.Service.ping ~socket () with
-        | Some _ -> ()
-        | None ->
-            ignore (Unix.select [] [] [] 0.05);
-            go (tries - 1)
-    in
-    go 400
-  in
-  let request =
-    Engines.Service.encode_request ~id:"once/Bap/time_bomb"
-      ~tool:Engines.Profile.Bap ~bomb:"time_bomb" ()
-  in
-  let submit_one () =
-    let final = ref None in
-    let r =
-      Engines.Service.submit_resilient ~socket ~sessions:4
-        ~on_line:(fun l ->
-          if Engines.Service.status_of_line l = Some "done" then
-            final := Some l)
-        [ ("once/Bap/time_bomb", request) ]
-    in
-    Alcotest.(check int) "request answered" 1 r.Engines.Service.sr_answered;
-    match !final with
-    | Some l -> l
-    | None -> Alcotest.fail "no done line streamed"
-  in
-  let pid = fork_daemon () in
-  let cleanup = ref (fun () -> ()) in
-  (cleanup :=
-     fun () ->
-       (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
-       (try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ()));
-  Fun.protect
-    ~finally:(fun () ->
-      !cleanup ();
-      if Sys.file_exists socket then Sys.remove socket;
-      if Sys.file_exists queue then Sys.remove queue)
-  @@ fun () ->
-  await ();
-  let resp1 = submit_one () in
-  (* SIGKILL: no drain, no cleanup — the journal is all that survives *)
-  Unix.kill pid Sys.sigkill;
-  ignore (Unix.waitpid [] pid);
-  Sys.remove socket;
-  let pid2 = fork_daemon () in
-  (cleanup :=
-     fun () ->
-       (try Unix.kill pid2 Sys.sigkill with Unix.Unix_error _ -> ());
-       (try ignore (Unix.waitpid [] pid2) with Unix.Unix_error _ -> ()));
-  await ();
-  let resp2 = submit_one () in
-  Alcotest.(check string)
-    "resubmission answered verbatim from the journal, not re-graded"
-    resp1 resp2;
-  Engines.Service.drain ~socket ();
-  ignore (Unix.waitpid [] pid2);
-  (cleanup := fun () -> ());
-  let l =
-    Robust.Journal.load ~dedup:false
-      ~fingerprint:(Engines.Service.queue_fingerprint ())
-      queue
-  in
-  let dones =
-    List.filter
-      (fun (e : Robust.Journal.entry) ->
-         match Telemetry.Trace_check.member "phase" e.cell with
-         | Some (Telemetry.Trace_check.Str "done") -> true
-         | _ -> false)
-      l.entries
-  in
-  Alcotest.(check int) "exactly one grading journaled across the crash" 1
-    (List.length dones)
-
 let () =
   Alcotest.run "fleet"
     [ ("pool",
@@ -846,20 +441,7 @@ let () =
          Alcotest.test_case "watchdog kills a stuck worker" `Quick
            pool_watchdog_kills_stuck;
          Alcotest.test_case "cancel fails queued, keeps in-flight" `Quick
-           pool_cancel_fails_queued;
-         Alcotest.test_case "deadline expires in queue" `Quick
-           deadline_expires_in_queue;
-         Alcotest.test_case "breaker quarantines dying slots" `Quick
-           breaker_quarantines_dying_slots ]);
-      ("ipc-chaos",
-       [ Alcotest.test_case "corrupt reply -> kill + re-dispatch" `Quick
-           chaos_corrupt_reply_recovers;
-         Alcotest.test_case "corrupt dispatch -> nack, no charge" `Quick
-           chaos_corrupt_dispatch_nacked;
-         Alcotest.test_case "dropped reply -> watchdog recovery" `Quick
-           chaos_drop_reply_watchdog_recovers;
-         Alcotest.test_case "worker stall -> watchdog recovery" `Quick
-           chaos_worker_stall_watchdog_recovers ]);
+           pool_cancel_fails_queued ]);
       ("merge",
        [ Alcotest.test_case "canonical byte-identity" `Quick
            merge_canonical_bytes;
@@ -877,12 +459,4 @@ let () =
          Alcotest.test_case "merged journal byte-identical + replays"
            `Quick fleet_journal_byte_identical;
          Alcotest.test_case "crashed-run worker shard recovered" `Quick
-           fleet_recovers_worker_shard ]);
-      ("serve",
-       [ Alcotest.test_case "stale/live socket refused" `Quick
-           stale_socket_detected;
-         Alcotest.test_case "daemon round trip" `Quick serve_round_trip;
-         Alcotest.test_case "queue fingerprint mismatch refused" `Quick
-           serve_queue_mismatch_refused;
-         Alcotest.test_case "crash + warm restart = exactly once" `Quick
-           serve_durable_exactly_once ]) ]
+           fleet_recovers_worker_shard ]) ]
