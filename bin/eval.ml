@@ -6,14 +6,36 @@
     diagnosis ([--tool] selects the engine, [--sink] the rendering,
     [--trace-out]/[--jsonl-out] dump the recorded spans). *)
 
-let parse_tools tools_filter =
-  match tools_filter with
+(* an unknown --tool/--bomb name is a usage error (exit 2), as in
+   `debug` and `explain`: never an empty grid or an uncaught raise *)
+let unknown_name kind name valid =
+  Printf.eprintf "unknown %s %S (valid: %s)\n" kind name
+    (String.concat ", " valid);
+  exit 2
+
+(* selected tools, in Profile.all order whatever the flag order *)
+let parse_tools = function
   | [] -> Engines.Profile.all
   | names ->
-    List.filter
-      (fun t -> List.mem (String.lowercase_ascii (Engines.Profile.name t))
-          (List.map String.lowercase_ascii names))
-      Engines.Profile.all
+    let wanted =
+      List.map
+        (fun n ->
+           match Engines.Profile.of_name n with
+           | Some t -> t
+           | None ->
+             unknown_name "tool" n
+               (List.map Engines.Profile.name Engines.Profile.all))
+        names
+    in
+    List.filter (fun t -> List.mem t wanted) Engines.Profile.all
+
+let parse_bombs names =
+  List.map
+    (fun n ->
+       match Bombs.Catalog.find_opt n with
+       | Some b -> b
+       | None -> unknown_name "bomb" n Bombs.Catalog.names)
+    names
 
 (* supervision policy off the CLI flags; an unlimited budget with no
    retries is the default-policy fast path preserving current output *)
@@ -75,7 +97,7 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
   let bombs =
     match bombs_filter with
     | [] -> Bombs.Catalog.table2
-    | names -> List.map Bombs.Catalog.find names
+    | names -> parse_bombs names
   in
   let policy = parse_policy budget_spec retries backoff in
   let ladder = if no_ladder then Some [] else None in
@@ -260,7 +282,8 @@ let run_chaos no_incremental seed plans disk rate workers tools_filter
   let bombs =
     match bombs_filter with
     | [] -> Engines.Supervisor.default_soak_bombs
-    | names -> names
+    | names ->
+      List.map (fun (b : Bombs.Common.t) -> b.name) (parse_bombs names)
   in
   if disk then begin
     (* storage-fault soak: journaled fleet grid under seeded disk

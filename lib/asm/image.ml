@@ -40,26 +40,6 @@ let symbol_addr t name =
 let symbol_at t addr =
   List.find_opt (fun s -> Int64.equal s.addr addr) t.symbols
 
-(** Address ranges covered by library code, inferred from library
-    function symbols sorted by address: each lib function owns
-    [addr, next-symbol-addr). *)
-let lib_ranges t =
-  let funcs =
-    List.filter (fun s -> s.kind = Func) t.symbols
-    |> List.sort (fun a b -> Int64.compare a.addr b.addr)
-  in
-  let text_end = Int64.add t.text_addr (Int64.of_int (String.length t.text)) in
-  let rec ranges = function
-    | [] -> []
-    | [ s ] -> if s.from_lib then [ (s.addr, text_end) ] else []
-    | s :: (next :: _ as rest) ->
-      if s.from_lib then (s.addr, next.addr) :: ranges rest else ranges rest
-  in
-  ranges funcs
-
-let in_lib t addr =
-  List.exists (fun (lo, hi) -> addr >= lo && addr < hi) (lib_ranges t)
-
 (* ------------------------------------------------------------------ *)
 (* Serialisation                                                       *)
 (* ------------------------------------------------------------------ *)

@@ -73,13 +73,6 @@ let has_lift_failure diags =
 let has_unconstrained_syscall diags =
   List.exists (function Unconstrained_syscall _ -> true | _ -> false) diags
 
-let has_unconstrained_data diags =
-  List.exists
-    (function
-      | Unconstrained_external _ | Unconstrained_input _ -> true
-      | _ -> false)
-    diags
-
 let has_crash diags =
   List.exists (function Engine_crash _ -> true | _ -> false) diags
 

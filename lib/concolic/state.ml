@@ -119,12 +119,6 @@ let fold2 mk a b =
     E.Const (Smt.Eval.eval ~memo:false Simplify_env.empty e, E.width_of e)
   else e
 
-let fold3 mk a b c =
-  let e = mk a b c in
-  if is_c a && is_c b && is_c c then
-    E.Const (Smt.Eval.eval ~memo:false Simplify_env.empty e, E.width_of e)
-  else e
-
 (* light algebraic rules beyond folding keep lifted code small *)
 let mk_binop op a b =
   match (op : E.binop), a, b with

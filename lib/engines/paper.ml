@@ -54,10 +54,6 @@ let expected bomb_name (tool : Profile.tool) =
        | Profile.Angr -> r.angr
        | Profile.Angr_nolib -> r.angr_nolib)
 
-(** Headline result: solved counts per tool (Angr's two columns are
-    one tool in the paper's "four cases" statement). *)
-let paper_solved_counts = [ (Profile.Bap, 2); (Profile.Triton, 1) ]
-
 (** Table I: challenge -> stages at which it can introduce errors. *)
 let table1 : (string * stage list) list =
   [ ("Symbolic Variable Declaration", [ Es0; Es1; Es2; Es3 ]);

@@ -70,7 +70,7 @@ let existing_worker_journals path =
     cells/inflight/ETA line on stderr. *)
 let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
     ?(bombs = Bombs.Catalog.table2) ?journal_path ?(workers = 2)
-    ?task_timeout ?(snapshots = false) ?profile ?spans_out
+    ?(snapshots = false) ?profile ?spans_out
     ?(progress = false) () : Eval.table2_result =
   let pol = Option.value ~default:Supervisor.default_policy policy in
   let fp =
@@ -159,7 +159,7 @@ let run_table2 ?incremental ?ladder ?policy ?(tools = Profile.all)
   let config =
     { Fleet.Pool.workers;
       respawns = max 1 pol.retries;
-      task_timeout;
+      task_timeout = None;
       snapshots;
       spans = spans_out;
       journal =

@@ -93,15 +93,12 @@ let failure_to_string = function
 type result = {
   r_key : string;
   r_payload : (string, failure) Stdlib.result;
-  r_submitted : float;  (** master monotonic-ish clock, for latency *)
-  r_done : float;
 }
 
 type job = {
   j_id : int;
   j_key : string;
   j_task : string;
-  j_submitted : float;
   mutable j_attempt : int;
 }
 
@@ -365,8 +362,7 @@ let submit (t : t) ~key ~task () =
   check_key key;
   check_frame "task" task;
   let j =
-    { j_id = t.next_id; j_key = key; j_task = task; j_submitted = now ();
-      j_attempt = 1 }
+    { j_id = t.next_id; j_key = key; j_task = task; j_attempt = 1 }
   in
   t.next_id <- t.next_id + 1;
   Queue.push j t.queue
@@ -383,10 +379,7 @@ let install_sigint t =
   fun () -> Sys.set_signal Sys.sigint prev
 
 let complete (t : t) (j : job) payload =
-  Queue.push
-    { r_key = j.j_key; r_payload = payload; r_submitted = j.j_submitted;
-      r_done = now () }
-    t.done_q
+  Queue.push { r_key = j.j_key; r_payload = payload } t.done_q
 
 (* a worker died (EOF / watchdog kill): reap it, settle or re-dispatch
    its in-flight task, and refill the slot *)

@@ -97,12 +97,6 @@ let mem ?base ?index ?(scale = 1) ?(disp = 0L) () = { base; index; scale; disp }
 let mem_regs { base; index; _ } =
   List.filter_map (fun x -> x) [ base; index ]
 
-let is_branch = function
-  | Jmp _ | Jcc _ | Call _ | Ret -> true
-  | _ -> false
-
-let is_conditional = function Jcc _ -> true | _ -> false
-
 let mnemonic = function
   | Mov _ -> "mov" | Movzx _ -> "movzx" | Movsx _ -> "movsx"
   | Lea _ -> "lea"

@@ -72,9 +72,3 @@ let digest (msg : string) : string =
       let word = h.(i / 4) in
       let shift = 24 - 8 * (i mod 4) in
       Char.chr (Int32.to_int (Int32.shift_right_logical word shift) land 0xff))
-
-let hex_of_digest d =
-  String.concat "" (List.init (String.length d) (fun i ->
-      Printf.sprintf "%02x" (Char.code d.[i])))
-
-let digest_hex msg = hex_of_digest (digest msg)

@@ -164,14 +164,6 @@ let disk_point_index = function
 
 let disk_point_name = Diskio.fault_name
 
-let disk_point_of_name = function
-  | "enospc" -> Some Enospc
-  | "short_write" -> Some Short_write
-  | "failed_rename" -> Some Failed_rename
-  | "bit_flip" -> Some Bit_flip
-  | "torn_fsync" -> Some Torn_fsync
-  | _ -> None
-
 (** How a {!disk_state} decides whether a probe fires: [Disk_arms]
     places faults at exact probe hits (deterministic placement for
     unit tests), [Disk_rate] draws each probe Bernoulli from a

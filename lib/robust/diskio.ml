@@ -125,8 +125,6 @@ type handle = {
          stays confined to one record *)
 }
 
-let handle_path h = h.h_path
-
 (* a well-formed record file ends in '\n'; anything else is the torn
    tail of a crashed append — terminate it so new records never fuse
    with the torn bytes.  (This is the healing formerly copied into

@@ -125,9 +125,6 @@ let append (w : writer) ~key ~payload =
           msg
   end
 
-(** Whether the writer has started shedding appends (disk full). *)
-let is_shedding (w : writer) = w.shedding
-
 (** Write the prefix of a record and stop mid-line without a trailing
     newline — simulates a crash between [output] and [flush] for the
     kill-and-resume smoke test. *)

@@ -184,7 +184,6 @@ let blast_cost ?(cap = max_int) ?(node_budget = 50_000) e =
 
 let var ?(width = 64) vname = Var { vname; width }
 let const ?(width = 64) v = Const (Int64.logand v (mask width), width)
-let const_int ?(width = 64) v = const ~width (Int64.of_int v)
 let tru = Const (1L, 1)
 let fls = Const (0L, 1)
 
@@ -207,8 +206,6 @@ let or_ a b =
   else if is_false a then b
   else if is_false b then a
   else Binop (Or, a, b)
-
-let conj = function [] -> tru | e :: es -> List.fold_left and_ e es
 
 let eq a b = Cmp (Eq, a, b)
 let ne a b = not_ (eq a b)

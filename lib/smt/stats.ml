@@ -160,14 +160,3 @@ let to_string s =
     Printf.sprintf "%s degraded=%d(resimplify=%d,enumerate=%d,give_up=%d)"
       base (degraded_total s) s.degraded_resimplify s.degraded_enumerate
       s.degraded_give_up
-
-(** The fields as JSON object members (no enclosing braces), for the
-    bench harness's machine-readable output. *)
-let to_json_fields s =
-  Printf.sprintf
-    "\"queries\": %d, \"cache_hits\": %d, \"sat\": %d, \"unsat\": %d, \
-     \"unknown\": %d, \"blasted_nodes\": %d, \"conflicts\": %d, \
-     \"solver_wall_s\": %.6f, \"degraded_resimplify\": %d, \
-     \"degraded_enumerate\": %d, \"degraded_give_up\": %d"
-    s.queries s.cache_hits s.sat s.unsat s.unknown s.blasted_nodes s.conflicts
-    s.wall_time s.degraded_resimplify s.degraded_enumerate s.degraded_give_up

@@ -61,7 +61,6 @@ let logf l fmt =
   else
     Printf.ifprintf stderr ("%s[%s] " ^^ fmt ^^ "\n%!") !prefix (level_name l)
 
-let errorf fmt = logf Error fmt
 let warnf fmt = logf Warn fmt
 let infof fmt = logf Info fmt
 let debugf fmt = logf Debug fmt

@@ -65,7 +65,6 @@ let gauge name : gauge =
 
 let set g v = g.g_value <- v
 let gauge_add g v = g.g_value <- g.g_value +. v
-let gauge_value g = g.g_value
 
 (** [bucket_of v] is the log2 bucket index of [v]: [0] for [v <= 0],
     otherwise [floor (log2 v) + 1].  [bucket_of 1 = 1],

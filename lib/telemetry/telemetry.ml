@@ -135,8 +135,6 @@ let sink_name = function
   | Jsonl -> "jsonl"
   | Chrome -> "chrome"
 
-let all_sinks = [ Silent; Tree; Jsonl; Chrome ]
-
 let children_of all id =
   List.filter (fun s -> s.parent = Some id) all
 

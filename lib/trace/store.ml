@@ -870,9 +870,6 @@ type rcursor = {
   c_dctx : dctx;
 }
 
-let cursor_start rd =
-  { rd; c_seq = 0; c_off = rd.frames_off; c_dctx = fresh_dctx () }
-
 let rcursor_seq c = c.c_seq
 
 (** Next event, skipping checkpoint frames (they own no seq). *)

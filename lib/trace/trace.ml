@@ -365,13 +365,6 @@ let next_syscall t ~from name =
 
 let checkpoints t = Lazy.force t.checkpoints
 
-(** Latest checkpoint describing state at or before event [pos]. *)
-let nearest_checkpoint t pos =
-  Array.fold_left
-    (fun best (ck : Vm.Event.checkpoint) ->
-       if ck.ck_events <= pos then Some ck else best)
-    None (checkpoints t)
-
 (** Reconstruct the traced process's memory as it was immediately
     before event [pos]: start from the fresh image, apply the
     cumulative page deltas of every checkpoint up to the nearest one,

@@ -124,7 +124,6 @@ type t = {
 }
 
 let stack_top = 0x7ff0_0000L
-let thread_stack_area = 0x7e00_0000L
 
 (* ------------------------------------------------------------------ *)
 (* Setup                                                               *)
