@@ -51,15 +51,13 @@ let run_bomb name argv1 winning =
     res.steps res.stdout;
   if Bombs.Common.triggered res then print_endline ">>> BOOM <<<"
 
-let dump_trace name argv1 limit trace_dir =
-  (match trace_dir with Some d -> Trace.set_store_dir (Some d) | None -> ());
+let dump_trace name argv1 limit =
   let b = Bombs.Catalog.find name in
   let config = Bombs.Common.config_for b argv1 in
   let trace = Trace.record ~config (Bombs.Catalog.image b) in
   let upto = min limit (Trace.length trace) in
   Trace.iteri ~upto trace (fun _ ev -> Fmt.pr "%a@." Trace.pp_event ev);
-  Printf.printf "(%d events total%s)\n" (Trace.length trace)
-    (if Trace.store_backed trace then ", store-backed" else "")
+  Printf.printf "(%d events total)\n" (Trace.length trace)
 
 open Cmdliner
 
@@ -67,11 +65,6 @@ let name_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"BOMB")
 let argv1_arg = Arg.(value & opt (some string) None & info [ "input" ])
 let winning_arg = Arg.(value & flag & info [ "winning" ])
 let limit_arg = Arg.(value & opt int 200 & info [ "limit" ])
-
-let trace_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-dir" ] ~docv:"DIR"
-           ~doc:"Persist/reuse the trace as an indexed store file in $(docv).")
 
 let () =
   let cmds =
@@ -84,6 +77,6 @@ let () =
       Cmd.v (Cmd.info "trace" ~doc:"Dump an execution trace")
         Term.(const dump_trace $ name_arg
               $ Arg.(value & opt string "5" & info [ "input" ])
-              $ limit_arg $ trace_dir_arg) ]
+              $ limit_arg) ]
   in
   exit (Cmd.eval (Cmd.group (Cmd.info "bombs" ~doc:"Logic-bomb dataset") cmds))

@@ -56,12 +56,6 @@ let parse_policy budget_spec retries backoff =
    clean exit: distinctive code, no table output *)
 let kill_exit_code = 9
 
-(* --trace-dir: record-once/analyze-many trace store (also settable
-   via TRACE_DIR; the flag wins) *)
-let set_trace_dir = function
-  | Some d -> Trace.set_store_dir (Some d)
-  | None -> ()
-
 (* --metrics-out: the deterministic engine counters (vm/smt/lifter/
    taint/concolic/dse) as "name value" lines — the fleet-merge
    determinism check diffs these between sequential and fleet runs *)
@@ -86,9 +80,7 @@ let write_metrics_out path =
 
 let run_table2_common ~require_journal ?(force = false) no_incremental
     no_ladder budget_spec retries backoff tools_filter bombs_filter journal
-    kill_after kill_torn trace_dir workers profile fleet_trace progress
-    metrics_out =
-  set_trace_dir trace_dir;
+    kill_after kill_torn workers profile fleet_trace progress metrics_out =
   if workers < 1 then begin
     Printf.eprintf "--workers must be >= 1\n";
     exit 2
@@ -192,18 +184,18 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
   end
 
 let run_table2 no_incremental no_ladder budget_spec retries backoff
-    tools_filter bombs_filter journal kill_after kill_torn trace_dir workers
-    profile fleet_trace progress metrics_out =
+    tools_filter bombs_filter journal kill_after kill_torn workers profile
+    fleet_trace progress metrics_out =
   run_table2_common ~require_journal:false no_incremental no_ladder
     budget_spec retries backoff tools_filter bombs_filter journal kill_after
-    kill_torn trace_dir workers profile fleet_trace progress metrics_out
+    kill_torn workers profile fleet_trace progress metrics_out
 
 let run_resume force no_incremental no_ladder budget_spec retries backoff
-    tools_filter bombs_filter journal trace_dir workers profile fleet_trace
-    progress metrics_out =
+    tools_filter bombs_filter journal workers profile fleet_trace progress
+    metrics_out =
   run_table2_common ~require_journal:true ~force no_incremental no_ladder
     budget_spec retries backoff tools_filter bombs_filter journal None false
-    trace_dir workers profile fleet_trace progress metrics_out
+    workers profile fleet_trace progress metrics_out
 
 let run_profile path top =
   if not (Sys.file_exists path) then begin
@@ -222,8 +214,7 @@ let run_profile path top =
     Printf.eprintf "profile: %s\n" msg;
     exit 2
 
-let run_fig3 trace_dir =
-  set_trace_dir trace_dir;
+let run_fig3 () =
   let r = Engines.Eval.run_fig3 () in
   Printf.printf
     "Figure 3 (argv[1] = 7):\n\
@@ -339,8 +330,7 @@ let run_chaos no_incremental seed plans disk rate workers tools_filter
 (* --explain: run one cell under span tracing, print the Es-stage
    diagnosis, then render/dump the trace through the chosen sinks *)
 let run_explain no_incremental no_ladder budget_spec bomb_name tool_name sinks
-    trace_out jsonl_out trace_dir =
-  set_trace_dir trace_dir;
+    trace_out jsonl_out =
   match Bombs.Catalog.find_opt bomb_name with
   | None ->
     Printf.eprintf "unknown bomb %S (see `eval sizes` for the catalog)\n"
@@ -404,21 +394,13 @@ let run_explain no_incremental no_ladder budget_spec bomb_name tool_name sinks
       jsonl_out
 
 (* debug: interactive step/step-back replay over one recorded trace *)
-let run_debug bomb_name input trace_dir =
-  set_trace_dir trace_dir;
+let run_debug bomb_name input =
   match Bombs.Catalog.find_opt bomb_name with
   | None ->
     Printf.eprintf "unknown bomb %S (see `eval sizes` for the catalog)\n"
       bomb_name;
     exit 2
-  | Some bomb -> (
-      try Engines.Debug.run ?input bomb
-      with Trace.Store.Corrupt msg ->
-        Printf.eprintf
-          "debug: trace store is corrupt (%s) — run `eval fsck --repair` \
-           on the store file, or remove it to re-record\n"
-          msg;
-        exit 2)
+  | Some bomb -> Engines.Debug.run ?input bomb
 
 (* fsck: verify (and with --repair, fix) on-disk artifacts *)
 let run_fsck repair paths =
@@ -522,14 +504,6 @@ let backoff_arg =
        & info [ "backoff" ]
          ~doc:"Budget scale factor applied on each retry")
 
-let trace_dir_arg =
-  Arg.(value & opt (some string) None
-       & info [ "trace-dir" ] ~docv:"DIR"
-         ~doc:
-           "Persist concrete execution traces as indexed store files \
-            in $(docv) and reuse matching ones instead of re-running \
-            the VM (also settable via $(b,TRACE_DIR); the flag wins)")
-
 let workers_arg =
   Arg.(value & opt int 1
        & info [ "workers" ] ~docv:"N"
@@ -581,7 +555,7 @@ let table2_cmd =
   Cmd.v (Cmd.info "table2" ~doc:"Reproduce Table II")
     Term.(const run_table2 $ no_incremental_arg $ no_ladder_arg $ budget_arg
           $ retries_arg $ backoff_arg $ tools_arg $ bombs_arg $ journal_arg
-          $ kill_after_arg $ kill_torn_arg $ trace_dir_arg $ workers_arg
+          $ kill_after_arg $ kill_torn_arg $ workers_arg
           $ profile_out_arg $ fleet_trace_arg $ progress_arg
           $ metrics_out_arg)
 
@@ -603,7 +577,7 @@ let resume_cmd =
           --force)")
     Term.(const run_resume $ force_arg $ no_incremental_arg $ no_ladder_arg
           $ budget_arg $ retries_arg $ backoff_arg $ tools_arg $ bombs_arg
-          $ journal_arg $ trace_dir_arg $ workers_arg $ profile_out_arg
+          $ journal_arg $ workers_arg $ profile_out_arg
           $ fleet_trace_arg $ progress_arg $ metrics_out_arg)
 
 let profile_cmd =
@@ -687,7 +661,7 @@ let table1_cmd =
 
 let fig3_cmd =
   Cmd.v (Cmd.info "fig3" ~doc:"Reproduce Figure 3")
-    Term.(const run_fig3 $ trace_dir_arg)
+    Term.(const run_fig3 $ const ())
 
 let debug_cmd =
   let bomb_arg =
@@ -701,12 +675,12 @@ let debug_cmd =
   Cmd.v
     (Cmd.info "debug"
        ~doc:
-         "Interactive trace debugger: record (or reopen, with \
-          --trace-dir) one concrete execution and step forward and \
-          backward through it from VM checkpoints, run to an \
-          address/syscall/taint event, and query taint provenance \
-          (reads commands from stdin; try `help`)")
-    Term.(const run_debug $ bomb_arg $ input_arg $ trace_dir_arg)
+         "Interactive trace debugger: record one concrete execution \
+          and step forward and backward through it, run to an \
+          address/syscall/taint event, inspect memory rebuilt by \
+          replay, and query taint provenance (reads commands from \
+          stdin; try `help`)")
+    Term.(const run_debug $ bomb_arg $ input_arg)
 
 let fsck_cmd =
   let repair_arg =
@@ -714,16 +688,15 @@ let fsck_cmd =
          & info [ "repair" ]
            ~doc:
              "Fix what can be fixed: rewrite journals and shards \
-              keeping only sound records, truncate torn tails, \
-              quarantine corrupt trace stores (renamed to *.corrupt; \
-              the next run re-records), and remove stale *.tmp files")
+              keeping only sound records, truncate torn tails, and \
+              remove stale *.tmp files")
   in
   let paths_arg =
     Arg.(non_empty & pos_all string []
          & info [] ~docv:"PATH"
            ~doc:
-             "Artifacts to check — journals, trace stores, span/profile \
-              shards, or directories (scanned recursively)")
+             "Artifacts to check — journals, span/profile shards, or \
+              directories (scanned recursively)")
   in
   Cmd.v
     (Cmd.info "fsck"
@@ -750,10 +723,10 @@ let all_cmd =
     print_newline ();
     run_sizes ();
     print_newline ();
-    run_table2 false false None 0 10.0 [] [] None None false None 1 None
-      None false None;
+    run_table2 false false None 0 10.0 [] [] None None false 1 None None
+      false None;
     print_newline ();
-    run_fig3 None;
+    run_fig3 ();
     print_newline ();
     run_negative ()
   in
@@ -802,19 +775,18 @@ let explain_term =
          & info [ "jsonl-out" ] ~docv:"FILE"
            ~doc:"Write the recorded spans as JSONL")
   in
-  let run no_incremental no_ladder budget bomb tool sinks trace_out jsonl_out
-      trace_dir =
+  let run no_incremental no_ladder budget bomb tool sinks trace_out jsonl_out =
     match bomb with
     | Some bomb_name ->
       run_explain no_incremental no_ladder budget bomb_name tool sinks
-        trace_out jsonl_out trace_dir;
+        trace_out jsonl_out;
       `Ok ()
     | None -> `Help (`Pager, None)
   in
   Term.(ret
           (const run $ no_incremental_arg $ no_ladder_arg $ budget_arg
            $ explain_arg $ tool_arg $ sink_arg $ trace_out_arg
-           $ jsonl_out_arg $ trace_dir_arg))
+           $ jsonl_out_arg))
 
 let () =
   let info = Cmd.info "eval" ~doc:"Logic-bomb evaluation harness" in

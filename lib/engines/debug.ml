@@ -1,13 +1,12 @@
 (** Interactive trace debugger ([eval debug BOMB]).
 
-    Records (or reopens, under [--trace-dir]) one concrete execution
-    and walks it through {!Trace}'s cursor API: step forward, step
-    {e backward} (a seek — state is rebuilt from the nearest VM
-    checkpoint, never by re-running the program), run to an
-    instruction address / syscall / first tainted event, inspect
-    registers and reconstructed memory, and answer "why is this byte
-    tainted" by walking the taint analyzer's provenance chain back to
-    the argv source bytes.
+    Records one concrete execution and walks it: step forward, step
+    {e backward} (the cursor is just a position in the recorded
+    trace), run to an instruction address / syscall / first tainted
+    event, inspect registers and memory rebuilt by replaying the
+    trace from event 0, and answer "why is this byte tainted" by
+    walking the taint analyzer's provenance chain back to the argv
+    source bytes.
 
     Commands arrive on stdin, one per line, so the same engine serves
     the interactive prompt and the scripted [@trace-smoke] transcript.
@@ -19,7 +18,7 @@ type session = {
   sources : (int64 * int) list;
   taint : Taint.result Lazy.t;
       (** full-policy, provenance-recording analysis; forced only by
-          [taint], [why] and (without a stored hint) [run-to taint] *)
+          [taint], [why] and [run-to taint] *)
   mutable pos : int;  (** seq of the event the cursor sits on *)
 }
 
@@ -52,9 +51,6 @@ let cmd_info s =
   Printf.printf "bomb:        %s (%s)\n" s.bomb.name s.bomb.category;
   Printf.printf "events:      %d (%d execs)\n" (Trace.length t)
     (Trace.exec_count t);
-  Printf.printf "checkpoints: %d\n" (Array.length (Trace.checkpoints t));
-  Printf.printf "backing:     %s\n"
-    (if Trace.store_backed t then "store file" else "memory");
   (match s.sources with
    | [ (a, n) ] -> Printf.printf "taint src:   argv[1] at 0x%Lx (%d bytes)\n" a n
    | _ -> ());
@@ -85,9 +81,8 @@ let cmd_regs s =
     Printf.printf "  flags = 0x%x\n" e.flags_before
 
 let cmd_mem s addr n =
-  let mem, base = Trace.mem_before s.trace s.pos in
-  Printf.printf "memory before #%d (checkpoint @%d + %d replayed events):\n"
-    s.pos base (s.pos - base);
+  let mem = Trace.mem_before s.trace s.pos in
+  Printf.printf "memory before #%d (%d replayed events):\n" s.pos s.pos;
   let bytes = Vm.Mem.read_bytes mem addr n in
   let i = ref 0 in
   while !i < n do
@@ -109,26 +104,15 @@ let cmd_mem s addr n =
 (* Taint and provenance                                                *)
 (* ------------------------------------------------------------------ *)
 
-(** First tainted event at or after [from] — from the stored hint when
-    one exists, else by forcing the analysis. *)
+(** First tainted event at or after [from] (forces the analysis). *)
 let first_taint_from s from =
-  let scan (seqs : int array) =
-    let n = Array.length seqs in
-    let rec go i = if i >= n then None
-      else if seqs.(i) >= from then Some seqs.(i) else go (i + 1)
-    in
-    go 0
+  let t = Lazy.force s.taint in
+  let rec go i =
+    if i >= Array.length t.tainted then None
+    else if t.tainted.(i) then Some i
+    else go (i + 1)
   in
-  match Trace.taint_hint s.trace with
-  | Some h -> scan h.Trace.Store.th_tainted
-  | None ->
-    let t = Lazy.force s.taint in
-    let rec go i =
-      if i >= Array.length t.tainted then None
-      else if t.tainted.(i) then Some i
-      else go (i + 1)
-    in
-    go from
+  go from
 
 let cmd_taint s =
   let t = Lazy.force s.taint in
@@ -225,7 +209,7 @@ let help () =
     \  info                 trace summary\n\
     \  list [N]             print N events from the cursor (default 10)\n\
     \  step|s [N]           advance N events (default 1)\n\
-    \  back|b [N]           step back N events (checkpoint seek)\n\
+    \  back|b [N]           step back N events\n\
     \  goto SEQ             jump to event SEQ\n\
     \  run-to addr 0xA      next exec at instruction address\n\
     \  run-to sys NAME      next syscall NAME\n\
@@ -312,9 +296,7 @@ let dispatch s line =
 let run ?input (bomb : Bombs.Common.t) =
   let argv1 = match input with Some s -> s | None -> bomb.decoy in
   let config = Bombs.Common.config_for bomb argv1 in
-  let trace =
-    Trace.record ~checkpoint_interval:256 ~config (Bombs.Catalog.image bomb)
-  in
+  let trace = Trace.record ~config (Bombs.Catalog.image bomb) in
   let sources =
     match Trace.argv_region trace 1 with
     | Some (addr, len) when len > 1 -> [ (addr, len - 1) ]
@@ -329,10 +311,8 @@ let run ?input (bomb : Bombs.Common.t) =
                 ~sources trace);
       pos = 0 }
   in
-  Printf.printf "trace debugger: %s, argv[1]=%S, %d events, %d checkpoints%s\n"
-    bomb.name argv1 (Trace.length trace)
-    (Array.length (Trace.checkpoints trace))
-    (if Trace.store_backed trace then " (store-backed)" else "");
+  Printf.printf "trace debugger: %s, argv[1]=%S, %d events\n"
+    bomb.name argv1 (Trace.length trace);
   show_current s;
   let interactive = Unix.isatty Unix.stdin in
   let rec loop () =

@@ -141,7 +141,7 @@ let uniform (rng : int64 ref) =
 (* ------------------------------------------------------------------ *)
 
 (** The storage fault class: not faults inside a cell but in the
-    bytes under the journals, stores and shards.  {!Diskio} consults
+    bytes under the journals and shards.  {!Diskio} consults
     an installed hook at every append, sync and rename; this state
     turns those probes into seeded faults.  Constructors are
     {!Diskio.fault}'s, re-exported. *)

@@ -134,22 +134,6 @@ let fsck_journal_roundtrip () =
     (l.Robust.Journal.corrupt + l.Robust.Journal.truncated);
   rm path
 
-let fsck_store_quarantine () =
-  let path = "disk_test_store.btrc" in
-  rm path;
-  rm (path ^ ".corrupt");
-  Robust.Diskio.write_atomic ~path "BTRC\x01garbage, not a real store";
-  Alcotest.(check int) "verify flags the corrupt store (exit 2)" 2
-    (Engines.Fsck.exit_code ~repair:false (Engines.Fsck.scan [ path ]));
-  Alcotest.(check int) "repair quarantines (exit 1)" 1
-    (Engines.Fsck.exit_code ~repair:true
-       (Engines.Fsck.scan ~repair:true [ path ]));
-  Alcotest.(check bool) "quarantined copy exists" true
-    (Sys.file_exists (path ^ ".corrupt"));
-  Alcotest.(check bool) "original is gone (next run re-records)" false
-    (Sys.file_exists path);
-  rm (path ^ ".corrupt")
-
 let fsck_orphan_shard () =
   let base = "disk_test_orphan.jsonl" in
   let shard = base ^ ".w3" in
@@ -205,8 +189,6 @@ let () =
       ("fsck",
        [ Alcotest.test_case "journal verify/repair round trip" `Quick
            fsck_journal_roundtrip;
-         Alcotest.test_case "corrupt store quarantined" `Quick
-           fsck_store_quarantine;
          Alcotest.test_case "orphan shard reported, not damage" `Quick
            fsck_orphan_shard ]);
       ("enospc",

@@ -1,9 +1,6 @@
-(** Trace-store tests: binary codec round-trip through a store file,
-    checkpoint-replay determinism, corrupt/torn store rejection and
-    recovery, truncation accounting, the cursor/index API, and the
-    acceptance gates — Table II and Figure 3 byte-identical with a
-    store, and [--explain] over an existing store running zero VM
-    steps with the same stage attribution. *)
+(** Trace tests: memory rebuilt by replay against the live machine's
+    pages, truncation accounting, argv regions, and the indexed
+    lookups against plain scans of the event array. *)
 
 let bomb name = Bombs.Catalog.find name
 
@@ -11,84 +8,8 @@ let config_of ?(argv1 = "5") name =
   let b = bomb name in
   Bombs.Common.config_for b argv1
 
-(* every test runs with an explicit store-dir override (or none) and
-   restores the ambient setting, so suites compose with TRACE_DIR *)
-let with_store_dir name f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "trace_test_%d_%s" (Unix.getpid ()) name)
-  in
-  let rm () =
-    if Sys.file_exists dir then begin
-      Array.iter
-        (fun e -> Sys.remove (Filename.concat dir e))
-        (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  rm ();
-  let saved = Trace.current_store_dir () in
-  Fun.protect ~finally:(fun () -> Trace.set_store_dir saved; rm ())
-    (fun () -> f dir)
-
-let store_file dir =
-  match Sys.readdir dir with
-  | [| f |] -> Filename.concat dir f
-  | files -> Alcotest.failf "expected 1 store file, found %d" (Array.length files)
-
-let events_of t = Array.init (Trace.length t) (fun i -> Trace.get t i)
-
-let check_events_equal what (a : Vm.Event.t array) (b : Vm.Event.t array) =
-  Alcotest.(check int) (what ^ ": length") (Array.length a) (Array.length b);
-  Array.iteri
-    (fun i ev ->
-       (* structural compare, not (=): xmm state is float arrays *)
-       if compare ev b.(i) <> 0 then
-         Alcotest.failf "%s: event %d differs:\n  %s\n  %s" what i
-           (Format.asprintf "%a" Trace.pp_event ev)
-           (Format.asprintf "%a" Trace.pp_event b.(i)))
-    a
-
 (* ------------------------------------------------------------------ *)
-(* Codec round-trip                                                    *)
-(* ------------------------------------------------------------------ *)
-
-(* exec deltas/keyframes, syscalls with every effect kind, signal
-   frames, multi-digit argv: record through the store and reopen; the
-   decoded stream must equal the in-memory recording exactly *)
-let codec_roundtrip () =
-  List.iter
-    (fun (name, argv1) ->
-       let config = config_of ~argv1 name in
-       let image = Bombs.Catalog.image (bomb name) in
-       Trace.set_store_dir None;
-       let mem_t = Trace.record ~config image in
-       with_store_dir ("codec_" ^ name) @@ fun dir ->
-       Trace.set_store_dir (Some dir);
-       let written = Trace.record ~config image in
-       let reopened = Trace.record ~config image in
-       Alcotest.(check bool) (name ^ ": second record is store-backed") true
-         (Trace.store_backed reopened);
-       check_events_equal (name ^ " write") (events_of mem_t)
-         (events_of written);
-       check_events_equal (name ^ " reopen") (events_of mem_t)
-         (events_of reopened);
-       Alcotest.(check int) (name ^ ": exec_count") (Trace.exec_count mem_t)
-         (Trace.exec_count reopened);
-       let r_mem = mem_t.Trace.result and r_st = reopened.Trace.result in
-       Alcotest.(check bool) (name ^ ": run result survives") true
-         (r_mem.exit_code = r_st.exit_code
-          && r_mem.stdout = r_st.stdout
-          && r_mem.stderr = r_st.stderr
-          && r_mem.steps = r_st.steps
-          && r_mem.fault = r_st.fault);
-       Alcotest.(check bool) (name ^ ": argv layout survives") true
-         (mem_t.Trace.argv_layout = reopened.Trace.argv_layout))
-    [ ("stack_bomb", "K"); ("fork_bomb", "33"); ("exception_bomb", "7");
-      ("sha1_bomb", "abc") ]
-
-(* ------------------------------------------------------------------ *)
-(* Checkpoint replay                                                   *)
+(* Replay against the live machine                                     *)
 (* ------------------------------------------------------------------ *)
 
 let mem_equal (a : Vm.Mem.t) (b : Vm.Mem.t) =
@@ -105,93 +26,56 @@ let mem_equal (a : Vm.Mem.t) (b : Vm.Mem.t) =
     (fun idx -> String.equal (get a idx) (get b idx))
     (List.sort_uniq compare (keys a @ keys b))
 
-(* resuming from every checkpoint must reconstruct the same memory a
-   straight replay from event 0 does — at the checkpoint itself and a
-   few events into the following window *)
-let checkpoint_replay_deterministic () =
-  let config = config_of ~argv1:"abc" "sha1_bomb" in
-  let t =
-    Trace.record ~checkpoint_interval:64 ~config
-      (Bombs.Catalog.image (bomb "sha1_bomb"))
+(* Run the bomb on a live machine and copy the root process's pages at
+   the positions where its memory is exactly a trace prefix: right
+   after each root Sys or Signal event (the exec before each is emitted
+   after the kernel or the signal push touched memory, so the prefix
+   must include the Sys/Signal event itself), and at the end of the
+   run.  Returns (position, pages) pairs and the root event count. *)
+let live_snapshots ~config image =
+  let machine = Vm.Machine.create ~config image in
+  let root =
+    List.find
+      (fun (task : Vm.Machine.task) -> task.proc.pid = 1)
+      machine.Vm.Machine.tasks
   in
-  let cks = Trace.checkpoints t in
-  Alcotest.(check bool) "trace long enough to checkpoint" true
-    (Array.length cks >= 3);
-  Array.iter
-    (fun (ck : Vm.Event.checkpoint) ->
+  let mem = root.proc.mem in
+  let n = ref 0 and snaps = ref [] in
+  Vm.Machine.set_hook machine (fun ev ->
+      if Trace.event_pid ev = 1 then begin
+        incr n;
+        match ev with
+        | Vm.Event.Sys _ | Vm.Event.Signal _ ->
+          snaps := (!n, Vm.Mem.clone mem) :: !snaps
+        | Vm.Event.Exec _ -> ()
+      end);
+  ignore (Vm.Machine.run machine);
+  (List.rev ((!n, Vm.Mem.clone mem) :: !snaps), !n)
+
+(* [Trace.mem_before] replays from event 0; at every snapshot position
+   it must reproduce the live machine's memory page for page *)
+let replay_matches_live () =
+  List.iter
+    (fun (name, argv1) ->
+       let config = config_of ~argv1 name in
+       let image = Bombs.Catalog.image (bomb name) in
+       let t = Trace.record ~config image in
+       let snaps, n = live_snapshots ~config image in
+       Alcotest.(check int) (name ^ ": live run emits the traced events")
+         (Trace.length t) n;
+       Alcotest.(check bool) (name ^ ": a snapshot before the end") true
+         (List.length snaps > 1);
        List.iter
-         (fun pos ->
-            if pos <= Trace.length t then begin
-              let fast, base = Trace.mem_before t pos in
-              let slow, base0 = Trace.mem_before ~use_checkpoints:false t pos in
-              Alcotest.(check int) "straight replay starts at 0" 0 base0;
-              Alcotest.(check bool)
-                (Printf.sprintf "checkpoint used at pos %d" pos) true
-                (base > 0 || pos < 64);
-              if not (mem_equal fast slow) then
-                Alcotest.failf
-                  "memory diverges at pos %d (checkpoint base %d)" pos base
-            end)
-         [ ck.ck_events; ck.ck_events + 3; ck.ck_events + 17 ])
-    cks
+         (fun (pos, live) ->
+            if not (mem_equal (Trace.mem_before t pos) live) then
+              Alcotest.failf "%s: replayed memory before #%d differs from \
+                              the live machine" name pos)
+         snaps)
+    (* fork_bomb reads a pipe; exception_bomb on "0" takes SIGFPE *)
+    [ ("sha1_bomb", "abc"); ("fork_bomb", "33"); ("exception_bomb", "0") ]
 
 (* ------------------------------------------------------------------ *)
-(* Corruption                                                          *)
-(* ------------------------------------------------------------------ *)
-
-let patch_file path f =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let b = Bytes.create n in
-  really_input ic b 0 n;
-  close_in ic;
-  let b = f b in
-  let oc = open_out_bin path in
-  output_bytes oc b;
-  close_out oc
-
-let corrupt_store_rejected () =
-  with_store_dir "corrupt" @@ fun dir ->
-  Trace.set_store_dir (Some dir);
-  let config = config_of "stack_bomb" in
-  let image = Bombs.Catalog.image (bomb "stack_bomb") in
-  let original = Trace.record ~config image in
-  let path = store_file dir in
-  (* flip one payload byte: open must raise, record must re-record *)
-  patch_file path (fun b ->
-      Bytes.set b 100 (Char.chr (Char.code (Bytes.get b 100) lxor 0xFF));
-      b);
-  (try
-     ignore (Trace.Store.open_file path);
-     Alcotest.fail "open_file accepted a corrupt store"
-   with Trace.Store.Corrupt _ -> ());
-  let before = Telemetry.Metrics.counter_value "trace.store.corrupt" in
-  let recovered = Trace.record ~config image in
-  Alcotest.(check int) "corruption counted" (before + 1)
-    (Telemetry.Metrics.counter_value "trace.store.corrupt");
-  check_events_equal "recovered by re-recording" (events_of original)
-    (events_of recovered);
-  (* the rewritten store must be valid again *)
-  ignore (Trace.Store.open_file (store_file dir))
-
-let torn_store_rejected () =
-  with_store_dir "torn" @@ fun dir ->
-  Trace.set_store_dir (Some dir);
-  let config = config_of "stack_bomb" in
-  let image = Bombs.Catalog.image (bomb "stack_bomb") in
-  let original = Trace.record ~config image in
-  let path = store_file dir in
-  patch_file path (fun b -> Bytes.sub b 0 (Bytes.length b / 2));
-  (try
-     ignore (Trace.Store.open_file path);
-     Alcotest.fail "open_file accepted a torn store"
-   with Trace.Store.Corrupt _ -> ());
-  let recovered = Trace.record ~config image in
-  check_events_equal "recovered from torn store" (events_of original)
-    (events_of recovered)
-
-(* ------------------------------------------------------------------ *)
-(* Truncation, argv_region, cursor API                                 *)
+(* Truncation, argv_region, indexed lookups                            *)
 (* ------------------------------------------------------------------ *)
 
 let truncation_counted () =
@@ -220,161 +104,56 @@ let argv_region_total () =
   Alcotest.(check (option (pair int64 int))) "negative is None" None
     (Trace.argv_region t (-1))
 
-let cursor_and_index () =
-  with_store_dir "cursor" @@ fun dir ->
+(* the positional lookups the debugger's run-to uses, against plain
+   scans of the in-memory event array *)
+let index_lookups () =
   let config = config_of ~argv1:"33" "fork_bomb" in
-  let image = Bombs.Catalog.image (bomb "fork_bomb") in
-  Trace.set_store_dir None;
-  let m = Trace.record ~config image in
-  Trace.set_store_dir (Some dir);
-  ignore (Trace.record ~config image);
-  let s = Trace.record ~config image in
-  Alcotest.(check bool) "store-backed" true (Trace.store_backed s);
-  (* random-access seeks against the in-memory truth *)
-  let n = Trace.length m in
-  List.iter
-    (fun i ->
-       let i = ((i * 37) + 11) mod n in
-       if compare (Trace.get m i) (Trace.get s i) <> 0 then
-         Alcotest.failf "seek to %d differs" i)
-    (List.init 24 Fun.id);
-  (* index walks agree with scans *)
-  let execs_m = Trace.execs_of_tid m 1 and execs_s = Trace.execs_of_tid s 1 in
-  Alcotest.(check int) "execs_of_tid count" (List.length execs_m)
-    (List.length execs_s);
+  let t = Trace.record ~config (Bombs.Catalog.image (bomb "fork_bomb")) in
+  let events = List.init (Trace.length t) (Trace.get t) in
+  let scan p =
+    let rec go i = function
+      | [] -> None
+      | ev :: rest -> if p ev then Some i else go (i + 1) rest
+    in
+    go 0 events
+  in
+  let execs = Trace.execs_of_tid t 1 in
+  Alcotest.(check int) "execs_of_tid count"
+    (List.length
+       (List.filter
+          (function Vm.Event.Exec e -> e.tid = 1 | _ -> false) events))
+    (List.length execs);
   Alcotest.(check bool) "execs_of_tid covers the execs" true
-    (List.length execs_m = Trace.exec_count m);
-  List.iter2
-    (fun (a : Vm.Event.exec) (b : Vm.Event.exec) ->
-       if compare a b <> 0 then Alcotest.fail "execs_of_tid event differs")
-    execs_m execs_s;
+    (List.length execs = Trace.exec_count t);
   Alcotest.(check int) "no such tid" 0
-    (List.length (Trace.execs_of_tid s 99));
-  (* positional queries *)
-  let first_sys name = Trace.next_syscall s ~from:0 name in
-  Alcotest.(check bool) "fork syscall indexed" true (first_sys "fork" <> None);
-  Alcotest.(check (option int)) "absent syscall" None (first_sys "openat");
-  (match Trace.get m 5 with
-   | Vm.Event.Exec e ->
-     Alcotest.(check (option int)) "next_exec_at agrees"
-       (Trace.next_exec_at m ~from:0 e.pc)
-       (Trace.next_exec_at s ~from:0 e.pc)
-   | _ -> ());
-  (* stateful cursor *)
-  let c = Trace.cursor ~at:3 s in
-  (match Trace.next c with
-   | Some ev -> Alcotest.(check bool) "cursor next = get 3" true
-                  (compare ev (Trace.get m 3) = 0)
-   | None -> Alcotest.fail "cursor exhausted early");
-  Alcotest.(check int) "cursor advanced" 4 (Trace.pos c)
-
-let taint_hint_persists () =
-  with_store_dir "hint" @@ fun dir ->
-  Trace.set_store_dir (Some dir);
-  let config = config_of ~argv1:"33" "fork_bomb" in
-  let image = Bombs.Catalog.image (bomb "fork_bomb") in
-  let t = Trace.record ~config image in
-  Alcotest.(check bool) "no hint before analysis" true
-    (Trace.taint_hint t = None);
-  let sources =
-    match Trace.argv_region t 1 with
-    | Some (a, len) -> [ (a, len - 1) ]
-    | None -> Alcotest.fail "no argv"
+    (List.length (Trace.execs_of_tid t 99));
+  let is_sys name = function
+    | Vm.Event.Sys { record; _ } -> String.equal record.name name
+    | _ -> false
   in
-  let r = Taint.analyze ~sources t in
-  Alcotest.(check bool) "analysis found taint" true (r.tainted_count > 0);
-  (* a later open of the same store sees the persisted summary *)
-  let t2 = Trace.record ~config image in
-  match Trace.taint_hint t2 with
-  | None -> Alcotest.fail "hint not persisted"
-  | Some h ->
-    Alcotest.(check int) "tainted count persisted" r.tainted_count
-      (Array.length h.th_tainted);
-    Alcotest.(check int) "branch count persisted"
-      (List.length r.tainted_branch)
-      (Array.length h.th_branches);
-    Alcotest.(check bool) "first taint consistent" true
-      (h.th_first = h.th_tainted.(0))
-
-(* ------------------------------------------------------------------ *)
-(* Acceptance gates                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let table2_byte_identical () =
-  let tools = [ Engines.Profile.Bap; Engines.Profile.Triton ] in
-  let bombs = List.map bomb [ "time_bomb"; "stack_bomb"; "argvlen_bomb" ] in
-  let render () =
-    Engines.Eval.render_table2 (Engines.Eval.run_table2 ~tools ~bombs ())
-  in
-  Trace.set_store_dir None;
-  let fresh = render () in
-  with_store_dir "table2" @@ fun dir ->
-  Trace.set_store_dir (Some dir);
-  let writing = render () in
-  let replaying = render () in
-  Alcotest.(check string) "store-writing run identical" fresh writing;
-  Alcotest.(check string) "store-replaying run identical" fresh replaying
-
-let fig3_byte_identical () =
-  Trace.set_store_dir None;
-  let fresh = Engines.Eval.run_fig3 () in
-  with_store_dir "fig3" @@ fun dir ->
-  Trace.set_store_dir (Some dir);
-  let writing = Engines.Eval.run_fig3 () in
-  let replaying = Engines.Eval.run_fig3 () in
-  List.iter
-    (fun (what, (r : Engines.Eval.fig3_result)) ->
-       Alcotest.(check (pair int int)) (what ^ ": tainted counts")
-         (fresh.noprint_tainted, fresh.print_tainted)
-         (r.noprint_tainted, r.print_tainted);
-       Alcotest.(check (pair int int)) (what ^ ": branch counts")
-         (fresh.noprint_branches, fresh.print_branches)
-         (r.noprint_branches, r.print_branches);
-       Alcotest.(check (pair int int)) (what ^ ": direct counts")
-         (fresh.noprint_tainted_direct, fresh.print_tainted_direct)
-         (r.noprint_tainted_direct, r.print_tainted_direct))
-    [ ("writing", writing); ("replaying", replaying) ]
-
-(* the tentpole gate: an --explain over an existing store re-executes
-   nothing on the VM (asserted via the vm.* counters, which
-   Explain.run resets per invocation) yet attributes the same stage *)
-let explain_zero_vm () =
-  with_store_dir "explain" @@ fun dir ->
-  Trace.set_store_dir (Some dir);
-  let b = bomb "time_bomb" in
-  let r1 = Engines.Explain.run Engines.Profile.Triton b in
-  let cold_steps = Telemetry.Metrics.counter_value "vm.steps" in
-  Alcotest.(check bool) "cold run executed the VM" true (cold_steps > 0);
-  let r2 = Engines.Explain.run Engines.Profile.Triton b in
-  Alcotest.(check int) "warm run: zero VM steps" 0
-    (Telemetry.Metrics.counter_value "vm.steps");
-  Alcotest.(check int) "warm run: zero VM syscalls" 0
-    (Telemetry.Metrics.counter_value "vm.syscalls");
-  Alcotest.(check bool) "stores were opened" true
-    (Telemetry.Metrics.counter_value "trace.store.opened" > 0);
-  Alcotest.(check string) "same stage attribution"
-    (match r1.stage with Some s -> Concolic.Error.show_stage s | None -> "-")
-    (match r2.stage with Some s -> Concolic.Error.show_stage s | None -> "-");
-  Alcotest.(check string) "same cell"
-    (Concolic.Error.cell_symbol r1.graded.cell)
-    (Concolic.Error.cell_symbol r2.graded.cell)
+  let fork = Trace.next_syscall t ~from:0 "fork" in
+  Alcotest.(check bool) "fork syscall found" true (fork <> None);
+  Alcotest.(check (option int)) "fork = first scanned" (scan (is_sys "fork"))
+    fork;
+  Alcotest.(check (option int)) "absent syscall" None
+    (Trace.next_syscall t ~from:0 "openat");
+  match Trace.get t 5 with
+  | Vm.Event.Exec e ->
+    Alcotest.(check (option int)) "next_exec_at = first scanned"
+      (scan (function
+         | Vm.Event.Exec x -> Int64.equal x.pc e.pc
+         | _ -> false))
+      (Trace.next_exec_at t ~from:0 e.pc);
+    Alcotest.(check (option int)) "next_exec_at from itself" (Some 5)
+      (Trace.next_exec_at t ~from:5 e.pc)
+  | _ -> Alcotest.fail "event 5 is not an exec"
 
 let () =
   Alcotest.run "trace"
-    [ ("store",
-       [ Alcotest.test_case "codec round-trip" `Quick codec_roundtrip;
-         Alcotest.test_case "corrupt rejected" `Quick corrupt_store_rejected;
-         Alcotest.test_case "torn rejected" `Quick torn_store_rejected;
-         Alcotest.test_case "taint hint persists" `Quick taint_hint_persists ]);
-      ("checkpoints",
-       [ Alcotest.test_case "replay deterministic" `Quick
-           checkpoint_replay_deterministic ]);
+    [ ("replay",
+       [ Alcotest.test_case "matches live machine" `Quick
+           replay_matches_live ]);
       ("cursor",
-       [ Alcotest.test_case "seek and index" `Quick cursor_and_index;
+       [ Alcotest.test_case "seek and index" `Quick index_lookups;
          Alcotest.test_case "argv_region total" `Quick argv_region_total;
-         Alcotest.test_case "truncation counted" `Quick truncation_counted ]);
-      ("acceptance",
-       [ Alcotest.test_case "table2 byte-identical" `Quick
-           table2_byte_identical;
-         Alcotest.test_case "fig3 byte-identical" `Quick fig3_byte_identical;
-         Alcotest.test_case "explain zero VM" `Quick explain_zero_vm ]) ]
+         Alcotest.test_case "truncation counted" `Quick truncation_counted ]) ]
