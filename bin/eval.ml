@@ -93,6 +93,13 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
   in
   let policy = parse_policy budget_spec retries backoff in
   let ladder = if no_ladder then Some [] else None in
+  let cmd = if require_journal then "resume" else "table2" in
+  (* a journal the OS refuses (missing directory, full device) ends
+     the run with one line: resume re-runs whatever was not journaled *)
+  let io_error msg =
+    Printf.eprintf "%s: %s\n" cmd msg;
+    exit 2
+  in
   let journal =
     match journal with
     | None ->
@@ -119,14 +126,14 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
           ?ladder ~policy ~tools ~bombs ()
       in
       (match Robust.Journal.peek_fingerprint path with
+       | exception Sys_error msg -> io_error msg
        | Some found when found <> expected && not force ->
          Printf.eprintf
            "%s: journal %s was written under a different configuration \
             (journal fingerprint %s, this run %s) — rerun with the \
             original flags, or pass --force to ignore the journal and \
             re-grade every cell\n"
-           (if require_journal then "resume" else "table2")
-           path found expected;
+           cmd path found expected;
          exit 2
        | None
          when require_journal && not force && Sys.file_exists path
@@ -137,9 +144,8 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
             re-grading the whole grid *)
          Printf.eprintf
            "resume: journal %s holds no decodable records — corrupt or \
-            not a journal; run `eval fsck --repair %s`, or pass --force \
-            to re-grade every cell\n"
-           path path;
+            not a journal; pass --force to re-grade every cell\n"
+           path;
          exit 2
        | _ -> ());
       Some
@@ -181,6 +187,7 @@ let run_table2_common ~require_journal ?(force = false) no_incremental
     | exception Engines.Eval.Simulated_crash ->
       Printf.eprintf "simulated crash after --kill-after cells\n";
       exit kill_exit_code
+    | exception Sys_error msg -> io_error msg
   end
 
 let run_table2 no_incremental no_ladder budget_spec retries backoff
@@ -206,7 +213,8 @@ let run_profile path top =
   | [] ->
     Printf.eprintf
       "profile: %s holds no decodable samples — corrupt or not a \
-       profile sidecar; run `eval fsck %s`\n"
+       profile sidecar; re-run table2 with --profile %s to regenerate \
+       it\n"
       path path;
     exit 2
   | samples -> print_string (Engines.Cellprof.render_report ~top samples)
@@ -250,8 +258,7 @@ let run_table1 () = print_string (Engines.Eval.render_table1 ())
 (* chaos: seeded fault-injection soak over supervised cells.  The
    seed comes from --seed, else ROBUST_CHAOS_SEED, else a fixed
    default so bare runs are reproducible *)
-let run_chaos no_incremental seed plans disk rate workers tools_filter
-    bombs_filter verbose =
+let run_chaos no_incremental seed plans tools_filter bombs_filter verbose =
   let seed =
     match seed with
     | Some s -> s
@@ -276,21 +283,6 @@ let run_chaos no_incremental seed plans disk rate workers tools_filter
     | names ->
       List.map (fun (b : Bombs.Common.t) -> b.name) (parse_bombs names)
   in
-  if disk then begin
-    (* storage-fault soak: journaled fleet grid under seeded disk
-       faults (ENOSPC, short writes, bit flips, torn fsyncs, failed
-       renames), then fsck --repair + resume + canonical merge must
-       reconstruct a byte-identical table and journal *)
-    let report =
-      Engines.Disk_soak.run ~plans ~seed ~rate ~workers ~tools ~bombs ()
-    in
-    print_string (Engines.Disk_soak.render report);
-    if not (Engines.Disk_soak.ok report) then begin
-      Printf.eprintf "chaos: disk soak containment FAILED\n";
-      exit 1
-    end;
-    exit 0
-  end;
   if verbose then
     List.iter
       (fun i ->
@@ -401,12 +393,6 @@ let run_debug bomb_name input =
       bomb_name;
     exit 2
   | Some bomb -> Engines.Debug.run ?input bomb
-
-(* fsck: verify (and with --repair, fix) on-disk artifacts *)
-let run_fsck repair paths =
-  let reports = Engines.Fsck.scan ~repair paths in
-  if reports <> [] then print_endline (Engines.Fsck.render reports);
-  exit (Engines.Fsck.exit_code ~repair reports)
 
 (* validate-trace: independent structural check of emitted files *)
 let run_validate_trace files =
@@ -615,45 +601,14 @@ let chaos_cmd =
     Arg.(value & flag
          & info [ "v"; "verbose" ] ~doc:"Print every derived fault plan")
   in
-  let disk_arg =
-    Arg.(value & flag
-         & info [ "disk" ]
-           ~doc:
-             "Soak the storage layer instead of single cells: run a \
-              journaled fleet grid under seeded disk faults (ENOSPC, \
-              short writes, bit flips, lying fsyncs, failed renames) \
-              injected at every durable-IO append, sync and rename; \
-              then fsck --repair, resume and canonically merge the \
-              survivors; fails unless the recovered table and journal \
-              are byte-identical to a fault-free baseline and every \
-              fired fault is accounted in robust.disk_injected.*")
-  in
-  let rate_arg =
-    Arg.(value & opt float 0.05
-         & info [ "rate" ] ~docv:"P"
-           ~doc:
-             "With --disk: per-opportunity fault probability for each \
-              armed disk fault")
-  in
-  let workers_arg =
-    Arg.(value & opt int 2
-         & info [ "workers" ] ~docv:"N"
-           ~doc:
-             "With --disk: fleet width of the chaos-phase grid (1 = \
-              sequential)")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
          "Seeded fault-injection soak: run supervised cells under \
           deterministically derived fault plans and verify every \
-          injected fault is contained to its cell (exit 1 otherwise). \
-          With --disk, soak the storage layer: journaled \
-          runs under injected disk faults must recover byte-identical \
-          via fsck --repair + resume.")
+          injected fault is contained to its cell (exit 1 otherwise).")
     Term.(const run_chaos $ no_incremental_arg $ seed_arg $ plans_arg
-          $ disk_arg $ rate_arg $ workers_arg $ tools_arg
-          $ bombs_arg $ verbose_arg)
+          $ tools_arg $ bombs_arg $ verbose_arg)
 
 let table1_cmd =
   Cmd.v (Cmd.info "table1" ~doc:"Reproduce Table I")
@@ -681,33 +636,6 @@ let debug_cmd =
           replay, and query taint provenance (reads commands from \
           stdin; try `help`)")
     Term.(const run_debug $ bomb_arg $ input_arg)
-
-let fsck_cmd =
-  let repair_arg =
-    Arg.(value & flag
-         & info [ "repair" ]
-           ~doc:
-             "Fix what can be fixed: rewrite journals and shards \
-              keeping only sound records, truncate torn tails, and \
-              remove stale *.tmp files")
-  in
-  let paths_arg =
-    Arg.(non_empty & pos_all string []
-         & info [] ~docv:"PATH"
-           ~doc:
-             "Artifacts to check — journals, span/profile shards, or \
-              directories (scanned recursively)")
-  in
-  Cmd.v
-    (Cmd.info "fsck"
-       ~doc:
-         "Verify on-disk artifacts: detect each file's format, walk \
-          its per-record checksums, flag torn tails, corrupt records, \
-          orphaned worker shards and stale tmp files, and report \
-          journal fingerprints. Exit 0 if everything is clean, 1 if \
-          damage was found and fully repaired (--repair), 2 if damage \
-          remains.")
-    Term.(const run_fsck $ repair_arg $ paths_arg)
 
 let sizes_cmd =
   Cmd.v (Cmd.info "sizes" ~doc:"Dataset binary-size statistics (§V-A)")
@@ -793,5 +721,5 @@ let () =
   exit (Cmd.eval (Cmd.group ~default:explain_term info
                     [ table1_cmd; table2_cmd; resume_cmd; fig3_cmd;
                       sizes_cmd; negative_cmd; validate_trace_cmd;
-                      chaos_cmd; debug_cmd; profile_cmd; fsck_cmd;
+                      chaos_cmd; debug_cmd; profile_cmd;
                       all_cmd ]))

@@ -162,15 +162,11 @@ let decode line : sample option =
       | _ -> None)
 
 (** Append one sample to the sidecar (one JSON object per line,
-    append-only — same torn-tail discipline as the span shards).
-    Profiles are observability, not results: a full disk sheds the
-    sample instead of failing the cell. *)
+    append-only — same torn-tail discipline as the span shards). *)
 let append ~path (s : sample) =
-  try
-    let h = Robust.Diskio.open_append path in
-    Robust.Diskio.append h (encode s ^ "\n");
-    Robust.Diskio.close h
-  with Robust.Diskio.Full _ -> ()
+  let h = Robust.Diskio.open_append path in
+  Robust.Diskio.append h (encode s ^ "\n");
+  Robust.Diskio.close h
 
 (** Load a sidecar: last sample wins per key (a resumed run re-appends
     the cells it re-executed); undecodable lines are skipped. *)

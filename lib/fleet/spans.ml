@@ -32,16 +32,12 @@ let remove_shards ~base =
 let flush_shard ~base ~slot =
   (match Telemetry.finished_spans () with
    | [] -> ()
-   | spans -> (
-       try
-         let h = Robust.Diskio.open_append (shard_path ~base slot) in
-         List.iter
-           (fun s -> Robust.Diskio.append h (Telemetry.span_jsonl s ^ "\n"))
-           spans;
-         Robust.Diskio.close h
-       with Robust.Diskio.Full _ ->
-         (* spans are observability, not results: shed this batch *)
-         ()));
+   | spans ->
+       let h = Robust.Diskio.open_append (shard_path ~base slot) in
+       List.iter
+         (fun s -> Robust.Diskio.append h (Telemetry.span_jsonl s ^ "\n"))
+         spans;
+       Robust.Diskio.close h);
   Telemetry.reset ()
 
 (* ------------------------------------------------------------------ *)

@@ -130,114 +130,3 @@ let fires st point =
     Some hit
   end
   else None
-
-(* a 53-bit uniform draw in [0,1) from a point's own stream *)
-let uniform (rng : int64 ref) =
-  Int64.to_float (Int64.logand (mix rng) 0x1FFFFFFFFFFFFFL)
-  /. 9007199254740992.0
-
-(* ------------------------------------------------------------------ *)
-(* Disk fault class: faults under the durable-IO layer                 *)
-(* ------------------------------------------------------------------ *)
-
-(** The storage fault class: not faults inside a cell but in the
-    bytes under the journals and shards.  {!Diskio} consults
-    an installed hook at every append, sync and rename; this state
-    turns those probes into seeded faults.  Constructors are
-    {!Diskio.fault}'s, re-exported. *)
-type disk_point = Diskio.fault =
-  | Enospc  (** the append raises {!Diskio.Full}; nothing lands *)
-  | Short_write  (** a prefix lands (torn tail), then {!Diskio.Full} *)
-  | Failed_rename  (** the publishing rename raises [Sys_error] *)
-  | Bit_flip  (** one byte flipped silently; checksums catch it *)
-  | Torn_fsync  (** the synced record's tail is silently dropped *)
-
-let all_disk_points =
-  [ Enospc; Short_write; Failed_rename; Bit_flip; Torn_fsync ]
-
-let disk_point_index = function
-  | Enospc -> 0
-  | Short_write -> 1
-  | Failed_rename -> 2
-  | Bit_flip -> 3
-  | Torn_fsync -> 4
-
-let disk_point_name = Diskio.fault_name
-
-(** How a {!disk_state} decides whether a probe fires: [Disk_arms]
-    places faults at exact probe hits (deterministic placement for
-    unit tests), [Disk_rate] draws each probe Bernoulli from a
-    seed-pure per-point stream (the soak mode, reproducible for a
-    fixed seed and operation order). *)
-type disk_mode =
-  | Disk_arms of (disk_point * int) list
-  | Disk_rate of { rate : float; points : disk_point list }
-
-type disk_state = {
-  ds_mode : disk_mode;
-  ds_rngs : int64 ref array;
-      (** one independent SplitMix stream per point, so probes of one
-          point never perturb another point's draws *)
-  ds_hits : int array;
-  ds_fired : int array;
-}
-
-let disk_state ~seed mode =
-  let n = List.length all_disk_points in
-  { ds_mode = mode;
-    ds_rngs =
-      Array.init n (fun i ->
-          ref (Int64.add seed (Int64.mul 0xBF58476D1CE4E5B9L
-                                 (Int64.of_int (i + 1)))));
-    ds_hits = Array.make n 0;
-    ds_fired = Array.make n 0 }
-
-let m_disk_injected =
-  List.map
-    (fun p ->
-       ( disk_point_index p,
-         Telemetry.Metrics.counter
-           ("robust.disk_injected." ^ disk_point_name p) ))
-    all_disk_points
-
-(** [disk_fires st point] counts one probe hit of [point] and reports
-    whether the fault fires there. *)
-let disk_fires st point =
-  let i = disk_point_index point in
-  st.ds_hits.(i) <- st.ds_hits.(i) + 1;
-  let fire =
-    match st.ds_mode with
-    | Disk_arms arms -> List.mem (point, st.ds_hits.(i)) arms
-    | Disk_rate { rate; points } ->
-        rate > 0. && List.mem point points && uniform st.ds_rngs.(i) < rate
-  in
-  if fire then begin
-    st.ds_fired.(i) <- st.ds_fired.(i) + 1;
-    Telemetry.Metrics.incr (List.assoc i m_disk_injected)
-  end;
-  fire
-
-(** Per-point fired counts so far (non-zero entries only). *)
-let disk_fired st =
-  List.filter_map
-    (fun p ->
-       let n = st.ds_fired.(disk_point_index p) in
-       if n > 0 then Some (p, n) else None)
-    all_disk_points
-
-(* which faults can fire at which IO operation *)
-let disk_points_of_op : Diskio.op -> disk_point list = function
-  | Diskio.Append -> [ Enospc; Short_write; Bit_flip ]
-  | Diskio.Sync -> [ Torn_fsync ]
-  | Diskio.Rename -> [ Failed_rename ]
-
-(** The {!Diskio} hook a seeded disk state drives: every candidate
-    point of the operation is probed (so hit counts stay comparable
-    across runs) and the first firing one wins.  Install with
-    [Diskio.set_fault_hook (Some (disk_hook st))], clear with
-    [None]. *)
-let disk_hook st : Diskio.hook =
- fun ~op ~path:_ ->
-  match List.filter (disk_fires st) (disk_points_of_op op) with
-  | [] -> None
-  | p :: _ -> Some p

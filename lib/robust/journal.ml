@@ -49,7 +49,6 @@ let m_corrupt = Telemetry.Metrics.counter "journal.corrupt"
 let m_truncated = Telemetry.Metrics.counter "journal.truncated"
 let m_stale = Telemetry.Metrics.counter "journal.stale"
 let m_undecodable = Telemetry.Metrics.counter "journal.undecodable"
-let m_shed = Telemetry.Metrics.counter "journal.shed"
 
 (** The replay layer calls this once per cell answered from the
     journal, so [journal.replayed] counts cells, not parsed lines. *)
@@ -67,9 +66,6 @@ type writer = {
   h : Diskio.handle;
   w_fingerprint : string;
   mutable seq : int;
-  mutable shedding : bool;
-      (** the device refused an append (ENOSPC class); further
-          records are shed instead of crashing the run *)
 }
 
 (* minimal JSON string escaper: every non-printable or non-ASCII byte
@@ -93,37 +89,21 @@ let json_escape (s : string) : string =
     {!Diskio.open_append} terminates the tail with a newline first so
     new records never fuse with the torn bytes. *)
 let open_writer ~fingerprint ?(seq = 0) path : writer =
-  { h = Diskio.open_append path; w_fingerprint = fingerprint; seq;
-    shedding = false }
+  { h = Diskio.open_append path; w_fingerprint = fingerprint; seq }
 
 let body ~fingerprint ~seq ~key ~payload =
   Printf.sprintf "{\"fp\":\"%s\",\"seq\":%d,\"key\":\"%s\",\"cell\":%s}"
     (json_escape fingerprint) seq (json_escape key) payload
 
 (** Append one record ([payload] must be a complete JSON value) and
-    flush: once [append] returns, the record survives a [kill -9].
-
-    ENOSPC degradation: if the device refuses the bytes
-    ({!Diskio.Full}), the writer warns once, counts the record in
-    [journal.shed] and sheds this and every later append instead of
-    crashing the run — a full disk costs resume coverage, never the
-    in-memory results of a grid in flight. *)
+    flush: once [append] returns, the record survives a [kill -9].  A
+    device that refuses the bytes (ENOSPC) raises [Sys_error]: the
+    run stops, and [eval resume] re-runs whatever was not journaled. *)
 let append (w : writer) ~key ~payload =
-  if w.shedding then Telemetry.Metrics.incr m_shed
-  else begin
-    let b = body ~fingerprint:w.w_fingerprint ~seq:w.seq ~key ~payload in
-    match Diskio.append w.h (fnv64_hex b ^ " " ^ b ^ "\n") with
-    | () ->
-        w.seq <- w.seq + 1;
-        Telemetry.Metrics.incr m_appended
-    | exception Diskio.Full msg ->
-        w.shedding <- true;
-        Telemetry.Metrics.incr m_shed;
-        Telemetry.Log.warnf
-          "journal: %s; shedding journal writes (results stay in memory; \
-           resume will re-run unjournaled cells)"
-          msg
-  end
+  let b = body ~fingerprint:w.w_fingerprint ~seq:w.seq ~key ~payload in
+  Diskio.append w.h (fnv64_hex b ^ " " ^ b ^ "\n");
+  w.seq <- w.seq + 1;
+  Telemetry.Metrics.incr m_appended
 
 (** Write the prefix of a record and stop mid-line without a trailing
     newline — simulates a crash between [output] and [flush] for the
@@ -203,62 +183,39 @@ let empty_load =
   { entries = []; total_lines = 0; valid = 0; corrupt = 0; truncated = 0;
     stale = 0; next_seq = 0 }
 
-(* one "<checksum> <body>" line; [last] discriminates torn-tail from
-   mid-file corruption *)
-type parsed = Valid of entry * string | Stale | Damaged
-
-let parse_line ~fingerprint line : parsed =
+(* one "<checksum> <body>" line: the record's fingerprint and entry,
+   or [None] when the checksum or the body's shape is damaged *)
+let parse_line line : (string * entry) option =
   let open Telemetry.Trace_check in
-  if String.length line < 18 || line.[16] <> ' ' then Damaged
+  if String.length line < 18 || line.[16] <> ' ' then None
   else
     let sum = String.sub line 0 16 in
     let b = String.sub line 17 (String.length line - 17) in
-    if not (String.equal sum (fnv64_hex b)) then Damaged
+    if not (String.equal sum (fnv64_hex b)) then None
     else
       match parse_opt b with
-      | None -> Damaged
+      | None -> None
       | Some j -> (
           match (member "fp" j, member "seq" j, member "key" j,
-                 member "cell" j) with
-          | Some (Str fp), Some (Num seq), Some (Str key), Some cell -> (
-              if not (String.equal fp fingerprint) then Stale
-              else
-                match raw_payload_of_body b with
-                | Some raw ->
-                    Valid ({ key; seq = int_of_float seq; cell; raw }, fp)
-                | None -> Damaged)
-          | _ -> Damaged)
+                 member "cell" j, raw_payload_of_body b) with
+          | Some (Str fp), Some (Num seq), Some (Str key), Some cell,
+            Some raw ->
+              Some (fp, { key; seq = int_of_float seq; cell; raw })
+          | _ -> None)
 
 (** The fingerprint of the first checksummed-valid record of [path],
     whatever it is — [None] for a missing, empty or wholly damaged
     file.  Lets a resuming caller distinguish "this journal belongs to
     a different run configuration" (refuse loudly) from damage (skip
     and re-run), instead of {!load} silently treating every record as
-    stale. *)
+    stale.  Reads at most the file's size ([Sys_error] if
+    unreadable). *)
 let peek_fingerprint path : string option =
   if not (Sys.file_exists path) then None
-  else begin
-    let ic = open_in_bin path in
-    let found = ref None in
-    (try
-       while !found = None do
-         let line = input_line ic in
-         if String.length line >= 18 && line.[16] = ' ' then begin
-           let sum = String.sub line 0 16 in
-           let b = String.sub line 17 (String.length line - 17) in
-           if String.equal sum (fnv64_hex b) then
-             match
-               Option.bind (Telemetry.Trace_check.parse_opt b)
-                 (Telemetry.Trace_check.member "fp")
-             with
-             | Some (Telemetry.Trace_check.Str fp) -> found := Some fp
-             | _ -> ()
-         end
-       done
-     with End_of_file -> ());
-    close_in ic;
-    !found
-  end
+  else
+    List.find_map
+      (fun line -> Option.map fst (parse_line line))
+      (String.split_on_char '\n' (Diskio.read_all path))
 
 (** Load every record of [path] that matches [fingerprint].  A missing
     file is an empty journal.  Damaged or stale lines are skipped with
@@ -281,53 +238,39 @@ let load ~fingerprint path : load_result =
       if complete = "" then [] else String.split_on_char '\n' complete
     in
     let acc = ref empty_load in
-    let note_line () =
-      acc := { !acc with total_lines = !acc.total_lines + 1 }
-    in
     let warn_skip ~kind lineno =
       Telemetry.Log.warnf "journal: skipping %s record at %s:%d" kind path
         lineno
     in
-    List.iteri
-      (fun i line ->
-         note_line ();
-         match parse_line ~fingerprint line with
-         | Valid (e, _) ->
-             acc :=
-               { !acc with
-                 valid = !acc.valid + 1;
-                 entries = e :: !acc.entries;
-                 next_seq = max !acc.next_seq (e.seq + 1) }
-         | Stale ->
-             Telemetry.Metrics.incr m_stale;
-             warn_skip ~kind:"stale (fingerprint mismatch)" (i + 1);
-             acc := { !acc with stale = !acc.stale + 1 }
-         | Damaged ->
-             Telemetry.Metrics.incr m_corrupt;
-             warn_skip ~kind:"corrupt" (i + 1);
-             acc := { !acc with corrupt = !acc.corrupt + 1 })
-      lines;
-    if tail <> "" then begin
-      note_line ();
-      (* a torn tail could still parse if the crash landed exactly on
-         the newline boundary minus the terminator; accept it only if
-         fully valid *)
-      match parse_line ~fingerprint tail with
-      | Valid (e, _) ->
+    (* [torn]: the final, unterminated line — damage there is a torn
+       tail, not corruption.  A torn tail could still parse if the
+       crash landed exactly on the newline boundary minus the
+       terminator; it is accepted only if fully valid. *)
+    let record ~torn line =
+      acc := { !acc with total_lines = !acc.total_lines + 1 };
+      let lineno = !acc.total_lines in
+      match parse_line line with
+      | Some (fp, e) when String.equal fp fingerprint ->
           acc :=
             { !acc with
               valid = !acc.valid + 1;
               entries = e :: !acc.entries;
               next_seq = max !acc.next_seq (e.seq + 1) }
-      | Stale ->
+      | Some _ ->
           Telemetry.Metrics.incr m_stale;
-          warn_skip ~kind:"stale (fingerprint mismatch)" !acc.total_lines;
+          warn_skip ~kind:"stale (fingerprint mismatch)" lineno;
           acc := { !acc with stale = !acc.stale + 1 }
-      | Damaged ->
+      | None when torn ->
           Telemetry.Metrics.incr m_truncated;
-          warn_skip ~kind:"truncated" !acc.total_lines;
+          warn_skip ~kind:"truncated" lineno;
           acc := { !acc with truncated = !acc.truncated + 1 }
-    end;
+      | None ->
+          Telemetry.Metrics.incr m_corrupt;
+          warn_skip ~kind:"corrupt" lineno;
+          acc := { !acc with corrupt = !acc.corrupt + 1 }
+    in
+    List.iter (record ~torn:false) lines;
+    if tail <> "" then record ~torn:true tail;
     (* last-wins per key: a resumed run may have re-executed a cell *)
     let entries =
       let seen = Hashtbl.create 64 in

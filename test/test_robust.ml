@@ -1,7 +1,9 @@
 (** Resource governance and chaos harness: budget parsing and
     tripping, deterministic fault plans, session rollback on a forced
     fault, supervised-cell grading, budget determinism across runs and
-    solver modes, and the ≥50-plan containment soak. *)
+    solver modes, the ≥50-plan containment soak, and journal damage
+    (flipped, truncated and torn records, a full device, a failed
+    rename) recovered by a plain resume. *)
 
 open Concolic.Error
 
@@ -622,6 +624,136 @@ let journal_kill_and_resume () =
     (Telemetry.Metrics.counter_value "journal.truncated" > trunc_before);
   Sys.remove path
 
+(* ---------------- storage damage: resume is the recovery ----------------
+   Every storage fault a journal can meet leaves damaged bytes: a
+   flipped bit, a record cut short by a lying fsync, a torn line from a
+   short write.  The loader skips each, so a plain resume re-runs what
+   was lost and must reproduce the clean run byte for byte. *)
+
+let damage_bombs () = List.map bomb [ "time_bomb"; "argvlen_bomb" ]
+
+let fresh_path prefix =
+  let path = Filename.temp_file prefix ".jsonl" in
+  Sys.remove path;
+  path
+
+let run_damage_grid path =
+  Engines.Eval.render_table2
+    (Engines.Eval.run_table2 ~tools:det_tools ~bombs:(damage_bombs ())
+       ~journal:
+         { Engines.Eval.journal_path = path; kill_after = None;
+           kill_torn = false }
+       ())
+
+(* the clean sequential table and journal bytes: the ground truth *)
+let clean_grid =
+  lazy
+    (let path = fresh_path "robust_clean" in
+     let table = run_damage_grid path in
+     let journal = read_file path in
+     Sys.remove path;
+     (table, journal))
+
+let journal_lines journal =
+  match List.rev (String.split_on_char '\n' journal) with
+  | "" :: rev when List.length rev = 4 -> List.rev rev
+  | _ -> Alcotest.fail "the clean journal must hold four complete records"
+
+(* one body byte of the second record flipped: its checksum fails *)
+let flip_body_byte journal =
+  let lines = journal_lines journal in
+  let l = Bytes.of_string (List.nth lines 1) in
+  let i = 17 + ((Bytes.length l - 17) / 2) in
+  Bytes.set l i (Char.chr (Char.code (Bytes.get l i) lxor 0x01));
+  String.concat "\n"
+    (List.mapi (fun j x -> if j = 1 then Bytes.to_string l else x) lines)
+  ^ "\n"
+
+(* the file ends halfway through its last record *)
+let truncate_mid_record journal =
+  let last = List.nth (journal_lines journal) 3 in
+  String.sub journal 0
+    (String.length journal - 1 - (String.length last / 2))
+
+(* a crashed append: half of a record lands without its newline *)
+let append_torn_line journal =
+  let first = List.hd (journal_lines journal) in
+  journal ^ String.sub first 0 (String.length first / 2)
+
+let resume_over_damage damage () =
+  let table, clean = Lazy.force clean_grid in
+  let path = fresh_path "robust_damaged" in
+  let damaged = damage clean in
+  write_file path damaged;
+  let l =
+    Robust.Journal.load
+      ~fingerprint:(Option.get (Robust.Journal.peek_fingerprint path))
+      path
+  in
+  Alcotest.(check int) "the loader sees exactly one damaged line" 1
+    (l.corrupt + l.truncated);
+  Alcotest.(check string) "sequential resume = clean table" table
+    (run_damage_grid path);
+  write_file path damaged;
+  let fleet =
+    Engines.Parallel.run_table2 ~tools:det_tools ~bombs:(damage_bombs ())
+      ~journal_path:path ~workers:2 ()
+  in
+  Alcotest.(check string) "2-worker resume = clean table" table
+    (Engines.Eval.render_table2 fleet);
+  Alcotest.(check string) "2-worker resume = clean journal" clean
+    (read_file path);
+  Sys.remove path
+
+(* a real full device: the append raises Sys_error, nothing is shed *)
+let enospc_raises () =
+  let w = Robust.Journal.open_writer ~fingerprint:"fp" "/dev/full" in
+  (match Robust.Journal.append w ~key:"k" ~payload:"{}" with
+   | () -> Alcotest.fail "an append to /dev/full must fail"
+   | exception Sys_error msg ->
+     Alcotest.(check bool) "the error names the device and ENOSPC" true
+       (msg = "/dev/full: No space left on device"));
+  try Robust.Journal.close_writer w with Sys_error _ -> ()
+
+(* a publishing rename that fails (the target is a directory) raises
+   and leaves the target untouched; the stale tmp it leaves behind is
+   overwritten by the next publication *)
+let failed_rename_leaves_target () =
+  let dir = fresh_path "robust_rename" in
+  Sys.mkdir dir 0o755;
+  write_file (Filename.concat dir "inside") "kept\n";
+  (match Robust.Diskio.write_atomic ~path:dir "second\n" with
+   | () -> Alcotest.fail "a rename over a directory must fail"
+   | exception Sys_error _ -> ());
+  Alcotest.(check bool) "target is still a directory" true
+    (Sys.is_directory dir);
+  Alcotest.(check string) "target's contents untouched" "kept\n"
+    (read_file (Filename.concat dir "inside"));
+  let stale = dir ^ ".tmp" in
+  Alcotest.(check string) "only the tmp holds the new bytes" "second\n"
+    (read_file stale);
+  let file = dir ^ ".file" in
+  write_file (file ^ ".tmp") "stale tmp, longer than the new contents\n";
+  Robust.Diskio.write_atomic ~path:file "new\n";
+  Alcotest.(check string) "a stale tmp is overwritten, not appended to"
+    "new\n" (read_file file);
+  Alcotest.(check bool) "publication consumed the tmp" false
+    (Sys.file_exists (file ^ ".tmp"));
+  List.iter Sys.remove [ Filename.concat dir "inside"; stale; file ];
+  Sys.rmdir dir
+
+let diskio_roundtrip () =
+  let path = fresh_path "robust_diskio" in
+  Robust.Diskio.write_atomic ~path "hello\nworld\n";
+  Alcotest.(check string) "published contents" "hello\nworld\n"
+    (Robust.Diskio.read_all path);
+  let h = Robust.Diskio.open_append path in
+  Robust.Diskio.append h "more\n";
+  Robust.Diskio.close h;
+  Alcotest.(check string) "appended" "hello\nworld\nmore\n"
+    (Robust.Diskio.read_all path);
+  Sys.remove path
+
 let () =
   Alcotest.run "robust"
     [ ("budget",
@@ -674,6 +806,19 @@ let () =
            journal_replay_matches_fresh;
          Alcotest.test_case "kill and resume" `Quick
            journal_kill_and_resume ]);
+      ("diskio",
+       [ Alcotest.test_case "atomic write + append round trip" `Quick
+           diskio_roundtrip ]);
+      ("containment",
+       [ Alcotest.test_case "bit flip" `Quick
+           (resume_over_damage flip_body_byte);
+         Alcotest.test_case "torn fsync" `Quick
+           (resume_over_damage truncate_mid_record);
+         Alcotest.test_case "short write" `Quick
+           (resume_over_damage append_torn_line);
+         Alcotest.test_case "enospc" `Quick enospc_raises;
+         Alcotest.test_case "failed rename" `Quick
+           failed_rename_leaves_target ]);
       ("soak",
        [ Alcotest.test_case "50 plans contained" `Quick
            soak_contains_every_fault ]) ]
